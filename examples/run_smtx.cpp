@@ -6,12 +6,14 @@
 // Without a file, writes and uses a small demonstration pattern.
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
+#include <vector>
 
 #include "vsparse/bench/runner.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/smtx_io.hpp"
+#include "vsparse/gpusim/trace/counters.hpp"
 #include "vsparse/kernels/dispatch.hpp"
-#include "vsparse/report/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace vsparse;
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
               "cycles", "speedup", dense_cycles);
 
   using kernels::SpmmAlgorithm;
-  std::vector<report::Record> records;
+  std::vector<kernels::KernelRun> runs;
   const SpmmAlgorithm algos[] = {SpmmAlgorithm::kOctet,
                                  SpmmAlgorithm::kWmmaWarp,
                                  SpmmAlgorithm::kFpuSubwarp};
@@ -64,15 +66,25 @@ int main(int argc, char** argv) {
     auto run = kernels::spmm(dev, da, db, dcv, {.algorithm = algo});
     std::printf("%-14s %12.0f %9.2fx\n", run.config.profile.name.c_str(),
                 run.cycles(hw), dense_cycles / run.cycles(hw));
-    records.push_back(report::make_record(
-        run, hw,
-        {{"v", std::to_string(v)}, {"n", std::to_string(n)}}));
+    runs.push_back(run);
     dev.flush_all_caches();
   }
 
-  std::printf("\nJSON records (pipe to a file for tooling):\n");
-  for (const auto& r : records) {
-    std::printf("%s\n", report::to_json(r).c_str());
+  // One record per kernel: the model's verdict plus every registry
+  // counter (gpusim/trace/counters.hpp), the same keys metrics.json uses.
+  std::ostringstream os;
+  os << "[\n";
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const gpusim::CostEstimate cost = runs[i].cost(hw);
+    os << "  {\"kernel\": \"" << runs[i].config.profile.name
+       << "\", \"v\": " << v << ", \"n\": " << n
+       << ", \"cycles\": " << cost.cycles << ", \"bound_by\": \""
+       << cost.bound_by << "\",\n   \"counters\":\n";
+    gpusim::counters_json(os, runs[i].stats, 4);
+    os << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
+  os << "]\n";
+  std::printf("\nJSON records (pipe to a file for tooling):\n%s",
+              os.str().c_str());
   return 0;
 }

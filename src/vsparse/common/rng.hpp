@@ -13,6 +13,17 @@
 
 namespace vsparse {
 
+/// splitmix64: one golden-ratio step plus its finalizer.  Decorrelates
+/// structured inputs (seed ^ index, seed ^ tag) into uniform u64s, so
+/// every seed-derived decision in the simulator and the serving layer
+/// is reproducible from the seed alone.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** generator.  Satisfies UniformRandomBitGenerator.
 class Rng {
  public:
@@ -21,13 +32,9 @@ class Rng {
   /// Seeds the four 64-bit words from a single seed via splitmix64, as
   /// recommended by the xoshiro authors.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) {
-    std::uint64_t x = seed;
     for (auto& s : state_) {
-      x += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      s = z ^ (z >> 31);
+      s = mix64(seed);
+      seed += 0x9e3779b97f4a7c15ull;
     }
   }
 

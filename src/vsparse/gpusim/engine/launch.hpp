@@ -179,17 +179,23 @@ KernelStats run_launch_direct(Device& dev, const LaunchConfig& cfg,
     // slice-locked L2 differs.
     std::mutex error_mu;
     std::exception_ptr first_error;
+    int first_error_cta = cfg.grid;
     ThreadPool::instance().run(threads, [&] {
       for (int sm; (sm = sched.next_sm()) >= 0;) {
         SmContext& ctx = sms[static_cast<std::size_t>(sm)];
+        int cta = sched.first_cta(sm);
         try {
-          for (int cta = sched.first_cta(sm); cta < cfg.grid;
-               cta += sched.cta_stride()) {
+          for (; cta < cfg.grid; cta += sched.cta_stride()) {
             engine_detail::run_cta_direct(ctx, cfg, cta, body);
           }
         } catch (...) {
+          // Keep the lowest-indexed throwing CTA's error — the one the
+          // serial path raises — whichever SM reports first.
           std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
+          if (cta < first_error_cta) {
+            first_error_cta = cta;
+            first_error = std::current_exception();
+          }
         }
       }
     });

@@ -3,20 +3,12 @@
 #include <cstring>
 #include <sstream>
 
+#include "vsparse/common/rng.hpp"
 #include "vsparse/gpusim/stats.hpp"
 #include "vsparse/gpusim/trace/trace.hpp"
 
 namespace vsparse::gpusim {
 namespace {
-
-// splitmix64 — the same finalizer the Rng seeding uses; good enough to
-// decorrelate (seed, site, sm, counter) tuples into uniform u64s.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // Deterministic per-access decision hash.  Everything a rate fault
 // needs (fire? which bit? which lane byte?) derives from this one

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "vsparse/common/rng.hpp"
+
 namespace vsparse::serve {
-namespace {
-
-// splitmix64 — the same mixer the supervisor's backoff jitter uses.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* chaos_kind_name(ChaosKind kind) {
   switch (kind) {

@@ -37,7 +37,7 @@ enum class ErrorCode : std::uint8_t {
   kAllocOverflow,        ///< size arithmetic would overflow the allocator
   kOutOfMemory,          ///< simulated DRAM exhausted
   kQuotaExceeded,        ///< request footprint exceeds the serve quota
-  kQueueFull,            ///< admission queue at capacity (backpressure)
+  kQueueFull,            ///< tenant backlog full at arrival (load shed)
   kDeadlineExceeded,     ///< SLO deadline passed before launch (load shed)
   kEccUncorrectable,     ///< SEC-DED detected a double-bit upset
   kLaunchTimeout,        ///< watchdog per-CTA op budget exceeded

@@ -50,10 +50,6 @@
 #include "vsparse/serve/policy.hpp"
 #include "vsparse/serve/supervisor.hpp"
 
-namespace vsparse::verify {
-class CertStore;
-}  // namespace vsparse::verify
-
 namespace vsparse::serve {
 
 enum class RequestOp : std::uint8_t { kSpmm = 0, kSddmm, kAttention };
@@ -86,19 +82,13 @@ struct ExecEnv {
   bool ecc_burst = false;
   /// Non-zero: launch under this watchdog budget (brownouts).
   std::uint64_t watchdog_cta_ops = 0;
-  /// Cross-check a completed request against unsupervised dispatch on
-  /// ref_dev: output bytes always; SM-local counters only when no
-  /// watchdog degradation is armed (a brownout may legitimately push
-  /// the request to a different ladder rung).
+  /// Cross-check a completed request against fault-free unsupervised
+  /// dispatch on ref_dev: output bytes always; SM-local counters only
+  /// when no ECC burst or watchdog budget is armed and the supervised
+  /// run finished on the kernel direct dispatch picked (per stage for
+  /// attention) — a fallback rung legitimately counts differently.
   bool verify = false;
   gpusim::Device* ref_dev = nullptr;
-  /// Opt-in static-verification admission gate (gpusim/verify/
-  /// certs.hpp): a request whose resolved kernel carries a `refuted`
-  /// certificate for this shape class on the worker's architecture is
-  /// rejected at admission (final_site "serve.verify.admission")
-  /// before any operand is built or launched.  Null (the default),
-  /// uncovered shapes, and proved/unknown verdicts change nothing.
-  const verify::CertStore* certs = nullptr;
 };
 
 /// One execution's outcome in the scheduler's service model.

@@ -5,18 +5,11 @@
 #include <iomanip>
 #include <sstream>
 
+#include "vsparse/common/rng.hpp"
 #include "vsparse/serve/error.hpp"
 
 namespace vsparse::serve {
 namespace {
-
-// splitmix64 — the same mixer the rest of the serving layer uses.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t mix_string(std::uint64_t h, const std::string& s) {
   for (char ch : s) h = mix64(h ^ static_cast<unsigned char>(ch));

@@ -72,7 +72,7 @@ struct ServeReport {
 };
 
 /// {"schema":"vsparse-serve-v1",...} wrapping one report line each —
-/// the soak artifact CI uploads.
+/// the artifact `serve_load --serve-report=FILE` writes.
 std::string reports_json(const std::vector<ServeReport>& reports);
 
 }  // namespace vsparse::serve

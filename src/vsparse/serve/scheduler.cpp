@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "vsparse/common/rng.hpp"
 #include "vsparse/gpusim/device.hpp"
 #include "vsparse/kernels/policy.hpp"
 #include "vsparse/serve/recorder.hpp"
@@ -14,15 +15,6 @@
 
 namespace vsparse::serve {
 namespace {
-
-// splitmix64 — the same mixer the supervisor's backoff jitter uses, so
-// the whole trace is reproducible from the seed alone.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// The memory quota a kMemPressure storm clamps requests to (small
 /// enough that the dense-decode ladder workspace of a 128-row request
@@ -41,10 +33,9 @@ struct TraceRequest {
 };
 
 // Everything about request i follows from (config.seed, i).  N stays
-// 64 everywhere (the soak's determinism idiom): the octet SpMM runs
-// one CTA per vector row, so a targeted fault address is read by
-// exactly one CTA and the attempt sequence is identical at any
-// --threads=N.
+// 64 everywhere: the octet SpMM runs one CTA per vector row, so a
+// targeted fault address is read by exactly one CTA and the attempt
+// sequence is identical at any --threads=N.
 std::vector<TraceRequest> build_trace(const LoadConfig& config,
                                       const std::vector<TenantSpec>& tenants) {
   int total_weight = 0;
@@ -218,7 +209,6 @@ LoadResult run_load(const LoadConfig& config) {
       config.tenants.empty() ? default_tenants() : config.tenants;
   validate_load_config(config, tenants);
   const std::vector<TraceRequest> trace = build_trace(config, tenants);
-  const bool verify = config.verify && !config.chaos;
 
   gpusim::DeviceConfig hw = gpusim::DeviceConfig::volta_v100();
   hw.dram_capacity = std::size_t{1} << 26;  // 64 MiB — reset per request
@@ -293,7 +283,7 @@ LoadResult run_load(const LoadConfig& config) {
     env.ecc_burst = active.ecc_burst;
     env.watchdog_cta_ops =
         (active.brownout || dfault.brownout) ? kBrownoutCtaOps : 0;
-    env.verify = verify;
+    env.verify = config.verify;
     env.ref_dev = &ref_dev;
 
     const std::size_t first_report = w.sup.reports().size();
@@ -334,7 +324,7 @@ LoadResult run_load(const LoadConfig& config) {
     }
     fleet.note_outcome(w, out, end, was_probe, result.fleet);
     result.sim_ctas += out.ctas;
-    if (verify && out.completed) {
+    if (config.verify && out.completed) {
       if (!out.bit_exact) ++result.mismatches;
       if (!out.counters_exact) ++result.counter_mismatches;
     }
@@ -616,7 +606,7 @@ std::string LoadResult::to_json(const LoadConfig& config) const {
      << ",\"events\":" << health_events_json << "}"
      << ",\"policy_cache_rejections\":" << policy_cache_rejections
      << ",\"verify\":{\"enabled\":"
-     << ((config.verify && !config.chaos) ? "true" : "false")
+     << (config.verify ? "true" : "false")
      << ",\"mismatches\":" << mismatches
      << ",\"counter_mismatches\":" << counter_mismatches << "}"
      << ",\"fleet\":{\"hedge\":" << (config.hedge ? "true" : "false")

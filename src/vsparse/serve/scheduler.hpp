@@ -1,5 +1,5 @@
 // Multi-tenant request scheduler — the serving front end that turns
-// the PR 4 per-request Supervisor into a *system*: an open-loop,
+// the per-request Supervisor into a *system*: an open-loop,
 // seeded stream of heterogeneous requests (SpMM / SDDMM / sparse
 // attention) from several tenants, scheduled across a fleet of
 // simulated devices under admission control, per-tenant memory quotas,
@@ -45,8 +45,9 @@
 // feed the hardened cache loader garbage.  Device storms add
 // whole-device fault domains: wedges, brownouts, flapping, permanent
 // death.  A fleet of one fault-free device is bit- and counter-
-// identical to direct unsupervised dispatch (verify mode cross-checks
-// every request against a reference device).
+// identical to direct unsupervised dispatch, and every recovered
+// request is bit-identical to it (verify mode cross-checks each
+// completed request against a reference device, chaos or not).
 #pragma once
 
 #include <cstddef>
@@ -101,11 +102,12 @@ struct LoadConfig {
   /// Compose seeded chaos storms over the trace horizon.
   bool chaos = false;
   int storms_per_kind = 2;
-  /// Cross-check every completed request against an unsupervised run
-  /// on a reference device (output bytes + SM-local counters).  Only
-  /// meaningful fault-free; forced off when chaos is on.  Device chaos
-  /// does NOT force it off — that is how failover bit-identity is
-  /// asserted.
+  /// Cross-check every completed request against a fault-free,
+  /// unsupervised run on a reference device.  Output bytes always
+  /// compare, so under kernel or device chaos this asserts bit-exact
+  /// recovery through retries, ladder fallbacks and failovers.  SM-local
+  /// counters compare only where they must match: no ECC burst or
+  /// watchdog budget armed, and the same kernel ran (ExecEnv::verify).
   bool verify = false;
 
   // ---- fleet ----

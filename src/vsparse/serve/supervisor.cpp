@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "vsparse/common/rng.hpp"
 #include "vsparse/formats/blocked_ell.hpp"
 #include "vsparse/gpusim/trace/trace.hpp"
 #include "vsparse/kernels/policy.hpp"
@@ -22,15 +23,6 @@ using kernels::KernelRun;
 using kernels::LadderEntry;
 using kernels::SddmmAlgorithm;
 using kernels::SpmmAlgorithm;
-
-// splitmix64 — the jitter hash.  Everything the backoff depends on is
-// policy state, so the schedule is bit-identical at any thread count.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 
@@ -49,7 +41,8 @@ std::uint64_t backoff_cycles_for(const RetryPolicy& retry,
     wait = wait > kMaxBackoffCycles / mult ? kMaxBackoffCycles : wait * mult;
   }
   // Jitter stays below the (already clamped) base, so wait + jitter
-  // cannot overflow: kMaxBackoffCycles + 2^40 << 2^64.
+  // cannot overflow: kMaxBackoffCycles + 2^40 << 2^64.  It hashes policy
+  // state only, so the schedule is bit-identical at any thread count.
   const std::uint64_t jitter =
       mix64(retry.seed ^ (request_id * 0x9e3779b97f4a7c15ull) ^
             (static_cast<std::uint64_t>(rung_index) << 32) ^

@@ -71,7 +71,7 @@ kernels::KernelRun supervised_sddmm(gpusim::Device& dev,
 /// The long-lived serving front end: owns the policy, stamps request
 /// ids, keeps every ServeReport, and never lets a classified failure
 /// escape — submit_* returns the report instead of throwing, which is
-/// the "zero process aborts" contract the soak asserts.
+/// the "zero process aborts" contract a chaos load run relies on.
 class Supervisor {
  public:
   /// Aggregate outcome counters across all submitted requests.
@@ -107,8 +107,8 @@ class Supervisor {
                                   kernels::SddmmOptions options = {});
 
   /// Record a request turned away *before* it reached the device — the
-  /// producer side of BoundedQueue backpressure (kQueueFull) or any
-  /// other pre-admission rejection.  Consumes a request id so report
+  /// scheduler's tenant-backlog shedding (kQueueFull) or deadline
+  /// shedding (kDeadlineExceeded).  Consumes a request id so report
   /// numbering stays dense and arrival-ordered.
   const ServeReport& record_rejection(const char* op, ErrorCode code,
                                       std::string site);

@@ -1,10 +1,10 @@
-// Concurrency stress for Device's allocation accounting (the satellite
-// fix of ISSUE 4): many host threads hammering alloc/free/translate on
-// ONE device — the serving scenario where requests are admitted from a
-// queue while launches are in flight — plus concurrent kernel launches
-// sharing the device.  Asserts the counters (used/live/peak/allocation
-// map) stay exact under the race and results stay correct; the CI
-// serve-soak job runs this under ASan+UBSan.
+// Concurrency stress for Device's allocation accounting: many host
+// threads hammering alloc/free/translate on ONE device — the serving
+// scenario where requests are admitted while launches are in flight —
+// plus concurrent kernel launches sharing the device.  Asserts the
+// counters (used/live/peak/allocation map) stay exact under the race
+// and results stay correct; the CI asan job runs this under
+// ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <atomic>

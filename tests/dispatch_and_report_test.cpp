@@ -1,17 +1,14 @@
-// Tests for the high-level dispatch API, the element-wise transformer
-// kernels, and the report/export module.
+// Tests for the high-level dispatch API and the element-wise
+// transformer kernels.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/reference.hpp"
 #include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/kernels/elementwise.hpp"
-#include "vsparse/report/report.hpp"
 
 namespace vsparse {
 namespace {
@@ -173,44 +170,6 @@ TEST(Elementwise, LayerNormAffineApplied) {
     mean /= 64;
     EXPECT_NEAR(mean, 0.5f, 0.03f);  // beta shifts the mean
   }
-}
-
-TEST(Report, JsonAndCsvContainTheNumbers) {
-  Rng rng(8);
-  Cvs a = make_cvs(32, 64, 4, 0.5, rng);
-  DenseMatrix<half_t> b(64, 64);
-  b.fill_random(rng);
-  gpusim::Device dev(test_config());
-  auto da = to_device(dev, a);
-  auto dbv = to_device(dev, b);
-  DenseMatrix<half_t> ch(32, 64);
-  auto dc = to_device(dev, ch);
-  auto run = kernels::spmm(dev, da, dbv, dc);
-
-  gpusim::DeviceConfig hw;
-  report::Record rec = report::make_record(
-      run, hw, {{"v", "4"}, {"sparsity", "0.5"}});
-  const std::string json = report::to_json(rec);
-  EXPECT_NE(json.find("\"kernel\":\"spmm_octet_v4\""), std::string::npos);
-  EXPECT_NE(json.find("\"v\":\"4\""), std::string::npos);
-  EXPECT_NE(json.find("\"hmma\":"), std::string::npos);
-
-  const std::string row = report::to_csv_row(rec);
-  EXPECT_NE(row.find("spmm_octet_v4,v=4;sparsity=0.5,"), std::string::npos);
-  // Column count of header and row agree.
-  const auto count_commas = [](const std::string& s) {
-    return std::count(s.begin(), s.end(), ',');
-  };
-  EXPECT_EQ(count_commas(report::csv_header()), count_commas(row));
-
-  std::ostringstream os;
-  report::write_csv(os, {rec, rec});
-  const std::string csv = os.str();
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  std::ostringstream js;
-  report::write_json(js, {rec});
-  const std::string json_doc = js.str();
-  EXPECT_EQ(json_doc.front(), '[');
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 // (the determinism contract of engine/launch.hpp).  Also covers the
 // Scheduler's round-robin assignment, the counter-preserving L2
 // slicing, SimOptions inheritance from the device, and exception
-// propagation out of worker threads.
+// propagation out of worker threads (the lowest throwing CTA's error,
+// at any thread count).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "vsparse/common/rng.hpp"
@@ -203,6 +206,34 @@ TEST(EngineThreadSweep, WorkerExceptionsPropagate) {
   gpusim::KernelStats stats = gpusim::launch(
       dev, cfg, [](gpusim::Cta&) {}, gpusim::SimOptions{.threads = 8});
   EXPECT_EQ(stats.ctas_launched, 16u);
+}
+
+TEST(EngineThreadSweep, LowestThrowingCtaErrorWinsAtEveryThreadCount) {
+  // CTAs 5 and 14 live on SMs 5 and 6.  CTA 5 stalls before throwing,
+  // so at threads > 1 CTA 14's error usually reaches the engine first;
+  // the launch must still raise CTA 5's, as the serial path does.
+  gpusim::Device dev(test_config());
+  gpusim::LaunchConfig cfg;
+  cfg.grid = 16;
+  cfg.cta_threads = 32;
+  auto body = [](gpusim::Cta& cta) {
+    if (cta.cta_id() == 5) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      throw std::runtime_error("cta 5 failed");
+    }
+    if (cta.cta_id() == 14) throw std::runtime_error("cta 14 failed");
+  };
+  for (int threads : {1, 2, 8}) {
+    for (int rep = 0; rep < 5; ++rep) {
+      try {
+        gpusim::launch(dev, cfg, body, gpusim::SimOptions{.threads = threads});
+        FAIL() << "launch did not throw at threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "cta 5 failed")
+            << "threads=" << threads << " run " << rep;
+      }
+    }
+  }
 }
 
 TEST(Scheduler, RoundRobinMatchesHistoricalAssignment) {

@@ -1,13 +1,15 @@
-// The multi-tenant load scheduler's contracts: the chaos-soak load
-// report is byte-identical across engine thread counts and across
-// repeated same-seed runs (the tentpole determinism claim), a chaos
-// run actually exercises the breaker machinery and the load-shedding
-// paths while keeping the outcome accounting internally consistent,
-// and the fault-free scheduled path is bit- AND counter-identical to
-// direct unsupervised dispatch (verify mode cross-checks every
-// completed request against a reference device).
+// The multi-tenant load scheduler's contracts: the chaos load report
+// is byte-identical across engine thread counts and across repeated
+// same-seed runs, a chaos run actually exercises the breaker machinery
+// and the load-shedding paths while keeping the outcome accounting
+// internally consistent, every request recovered under kernel or
+// device chaos is bit-identical to a fault-free direct dispatch, and
+// the fault-free scheduled path is bit- AND counter-identical to it
+// (verify mode cross-checks every completed request against a
+// reference device).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 
 #include "vsparse/serve/scheduler.hpp"
@@ -96,7 +98,8 @@ TEST(ServeLoad, ChaosRunFiresBreakersSheddingAndStaysConsistent) {
   EXPECT_GT(res.goodput_per_mtick, 0.0);
   EXPECT_GT(res.final_tick, 0u);
 
-  // Chaos mode never runs the verify cross-check.
+  // Verify is off, so nothing was cross-checked (the ChaosVerify tests
+  // below run the same storm with it on).
   EXPECT_EQ(res.mismatches, 0u);
   EXPECT_EQ(res.counter_mismatches, 0u);
 
@@ -114,6 +117,70 @@ TEST(ServeLoad, ChaosRunFiresBreakersSheddingAndStaysConsistent) {
   // Every executed request is exactly one placement on device 0.
   EXPECT_EQ(res.fleet.placements,
             res.total.completed + res.total.failed + res.total.rejected);
+}
+
+/// A count from the vsparse-serve-v1 header ({"schema":...,"retries":N,
+/// ...}), which precedes every per-request line.
+std::uint64_t serve_header_count(const std::string& report_json,
+                                 const std::string& key) {
+  const std::size_t at = report_json.find("\"" + key + "\":");
+  if (at == std::string::npos || at > report_json.find("\"reports\":")) {
+    ADD_FAILURE() << "serve report header lacks " << key;
+    return 0;
+  }
+  return std::strtoull(report_json.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+/// Run `config` with the verify cross-check on and assert bit-exact
+/// recovery: every completed request — whether a retry, a ladder
+/// fallback or a failover recovered it — matches a fault-free direct
+/// dispatch, SM-local counters match wherever they must, every outcome
+/// is classified, and the report is byte-identical at threads 1/2/8.
+/// Returns the threads=1 result for config-specific checks.
+LoadResult expect_chaos_verify_clean(LoadConfig config) {
+  config.verify = true;
+  config.threads = 1;
+  const LoadResult res = serve::run_load(config);
+  EXPECT_EQ(res.mismatches, 0u);
+  EXPECT_EQ(res.counter_mismatches, 0u);
+  EXPECT_GT(res.total.completed, 0u);
+  expect_accounting_consistent(res.total);
+
+  // The storms reach every recovery path: ECC detections are retried,
+  // sticky ECC and brownouts walk the ladder, brownouts exhaust it, and
+  // memory pressure rejects at admission.
+  EXPECT_GT(serve_header_count(res.report_json, "retries"), 0u);
+  EXPECT_GT(serve_header_count(res.report_json, "fallbacks"), 0u);
+  EXPECT_GT(serve_header_count(res.report_json, "give_ups"), 0u);
+  EXPECT_GT(res.total.rejected, 0u);
+  EXPECT_EQ(res.report_json.find("\"code\":\"internal\""), std::string::npos);
+
+  const std::string json = res.to_json(config);
+  EXPECT_NE(json.find("\"verify\":{\"enabled\":true,\"mismatches\":0,"
+                      "\"counter_mismatches\":0}"),
+            std::string::npos);
+  for (int threads : {2, 8}) {
+    config.threads = threads;
+    EXPECT_EQ(json, serve::run_load(config).to_json(config))
+        << "threads=" << threads;
+  }
+  return res;
+}
+
+TEST(ServeLoad, ChaosVerifyRecoversBitExactAndByteIdenticalAcrossThreads) {
+  const LoadResult res = expect_chaos_verify_clean(chaos_config(1));
+  // One device at a 12k-tick gap overdrives the interactive backlog.
+  EXPECT_GT(res.total.shed_queue, 0u);
+}
+
+TEST(ServeLoad, FleetChaosVerifyRecoversBitExactAndByteIdenticalAcrossThreads) {
+  LoadConfig config = chaos_config(1);
+  config.devices = 4;
+  config.device_chaos = true;
+  const LoadResult res = expect_chaos_verify_clean(config);
+  // Four devices drain the backlogs, so nothing sheds; device storms
+  // instead force failovers, each re-placement verified bit-exact.
+  EXPECT_GT(res.fleet.failovers, 0u);
 }
 
 TEST(ServeLoad, FaultFreeScheduledPathIsBitAndCounterIdentical) {

@@ -2,10 +2,10 @@
 // property table, the null-policy fast path (supervised fault-free
 // dispatch bit- AND counter-identical to unsupervised), retry recovery
 // from transient ECC detections, degradation-ladder recovery from
-// sticky faults via re-encode, admission control (memory quota, queue
-// backpressure), give-up classification, trace-event emission, report
-// determinism, and the supervised transformer forward pass surviving
-// an injected attention fault storm.
+// sticky faults via re-encode, admission control (memory quota,
+// pre-admission rejections), give-up classification, trace-event
+// emission, report determinism, and the supervised transformer forward
+// pass surviving an injected attention fault storm.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include "vsparse/gpusim/trace/trace.hpp"
 #include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/serve/policy.hpp"
-#include "vsparse/serve/queue.hpp"
 #include "vsparse/serve/supervisor.hpp"
 #include "vsparse/transformer/model.hpp"
 
@@ -273,22 +272,6 @@ TEST(ServeAdmission, QuotaRejectsOversizedRequestBeforeLaunching) {
   EXPECT_TRUE(report.rejected);
   EXPECT_EQ(report.final_code, ErrorCode::kQuotaExceeded);
   EXPECT_TRUE(report.attempts.empty());  // nothing launched
-}
-
-TEST(ServeAdmission, BoundedQueueBackpressure) {
-  serve::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(0));
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_FALSE(q.try_push(2));  // full: rejected, counted
-  EXPECT_EQ(q.accepted(), 2u);
-  EXPECT_EQ(q.rejected(), 1u);
-  EXPECT_EQ(q.try_pop().value(), 0);
-  EXPECT_TRUE(q.try_push(3));
-  q.close();
-  EXPECT_FALSE(q.try_push(4));  // closed: rejected
-  EXPECT_EQ(q.pop_wait().value(), 1);
-  EXPECT_EQ(q.pop_wait().value(), 3);
-  EXPECT_FALSE(q.pop_wait().has_value());  // closed and drained
 }
 
 TEST(ServeAdmission, RecordRejectionKeepsReportNumberingDense) {

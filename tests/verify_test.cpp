@@ -2,8 +2,7 @@
 // overlap primitive, shape-class corner enumeration, the full-registry
 // zero-refutation sweep on every architecture preset, seeded-broken
 // contracts that must be refuted with a concrete counterexample, the
-// certificate store round-trip, and the cert-gated dispatch / serve
-// admission paths.
+// certificate store round-trip, and the cert-gated dispatch path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,8 +24,6 @@
 #include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/kernels/registry.hpp"
 #include "vsparse/serve/error.hpp"
-#include "vsparse/serve/fleet.hpp"
-#include "vsparse/serve/supervisor.hpp"
 
 namespace vsparse {
 namespace {
@@ -444,45 +441,6 @@ TEST(CertGate, SddmmGateMirrorsSpmm) {
                      {.algorithm = kernels::SddmmAlgorithm::kOctet,
                       .certs = &store}),
       vsparse::Error);
-}
-
-// ---- serve admission gate ---------------------------------------------
-
-TEST(CertGate, FleetAdmissionRejectsRefutedRequestBeforeExecution) {
-  gpusim::Device dev(small_config());
-  serve::ServePolicy policy;
-  serve::Supervisor sup(dev, policy);
-
-  serve::RequestSpec spec;
-  spec.op = serve::RequestOp::kSpmm;
-  spec.m = 64;
-  spec.k = 64;
-  spec.v = 4;
-  spec.sparsity = 0.5;
-  spec.data_seed = 7;
-
-  // V=4 SpMM auto-resolves to octet; refute it for this shape class.
-  const CertStore store = refute_kernel("spmm_octet", 4);
-  serve::ExecEnv env;
-  env.certs = &store;
-  const serve::ExecOutcome out = serve::execute_request(sup, spec, env);
-  EXPECT_TRUE(out.rejected);
-  EXPECT_FALSE(out.completed);
-  EXPECT_EQ(out.final_code, ErrorCode::kBadDispatch);
-  EXPECT_EQ(out.final_site, "serve.verify.admission");
-
-  // Null store: the same request executes normally.
-  serve::ExecEnv clean;
-  const serve::ExecOutcome ok = serve::execute_request(sup, spec, clean);
-  EXPECT_TRUE(ok.completed);
-  EXPECT_FALSE(ok.rejected);
-
-  // A cert refuting an *unrelated* kernel does not block admission.
-  const CertStore other = refute_kernel("sddmm_octet", 4);
-  serve::ExecEnv unrelated;
-  unrelated.certs = &other;
-  const serve::ExecOutcome pass = serve::execute_request(sup, spec, unrelated);
-  EXPECT_TRUE(pass.completed);
 }
 
 }  // namespace
