@@ -13,9 +13,7 @@
 #include "vsparse/gpusim/engine/engine.hpp"
 #include "vsparse/gpusim/faults.hpp"
 #include "vsparse/gpusim/trace/export.hpp"
-#include "vsparse/gpusim/verify/verifier.hpp"
 #include "vsparse/kernels/dense/gemm.hpp"
-#include "vsparse/kernels/registry.hpp"
 
 namespace vsparse::bench {
 
@@ -47,53 +45,6 @@ bool arch_flag_present(int argc, char** argv) {
     if (std::strncmp(argv[i], "--arch=", 7) == 0) return true;
   }
   return false;
-}
-
-bool static_verify_flag_present(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--static-verify") == 0) return true;
-  }
-  return false;
-}
-
-int run_static_verify(const gpusim::DeviceConfig& hw) {
-  int proved = 0, refuted = 0, unknown = 0;
-  const auto verify_one = [&](const char* name,
-                              kernels::ContractFn contract) {
-    for (const verify::ShapeClass& cls : verify::builtin_shape_classes()) {
-      const verify::Verdict v = verify::verify_kernel(contract, cls, hw);
-      switch (v.kind) {
-        case verify::VerdictKind::kProved:
-          ++proved;
-          break;
-        case verify::VerdictKind::kRefuted:
-          ++refuted;
-          std::fprintf(stderr,
-                       "# static-verify: REFUTED %s over %s at %s: %s "
-                       "(counterexample %s)\n",
-                       name, cls.name.c_str(), v.site.c_str(),
-                       v.detail.c_str(), v.counterexample.str().c_str());
-          break;
-        case verify::VerdictKind::kUnknown:
-          ++unknown;
-          break;
-      }
-    }
-  };
-  for (const kernels::KernelDesc& desc : kernels::kernel_registry()) {
-    verify_one(desc.name, desc.contract);
-  }
-  for (const verify::ExtraContract& extra : verify::extra_contracts()) {
-    if (kernels::find_kernel(extra.name) == nullptr) {
-      verify_one(extra.name, extra.contract);
-    }
-  }
-  std::printf(
-      "# static-verify: {\"arch\":\"%s\",\"proved\":%d,\"refuted\":%d,"
-      "\"unknown\":%d}\n",
-      hw.arch, proved, refuted, unknown);
-  std::fflush(stdout);
-  return refuted;
 }
 
 namespace {

@@ -65,23 +65,6 @@ int parse_threads(int argc, char** argv);
 /// throughput JSON so trajectory entries carry their provenance.
 const char* threads_source(int argc, char** argv);
 
-/// --static-verify support: run the static launch verifier over the
-/// full kernel registry (plus the dense GEMM / softmax extra
-/// contracts) against the builtin shape classes on one architecture.
-/// Prints one machine-readable summary line
-///
-///   # static-verify: {"arch":"volta-v100","proved":84,"refuted":0,
-///                     "unknown":0}
-///
-/// plus one stderr line per refutation (with the concrete
-/// counterexample shape).  Returns the number of refuted verdicts; a
-/// driver should fail (exit 1) when it is non-zero.  Without the flag
-/// nothing runs and stdout is untouched.
-int run_static_verify(const gpusim::DeviceConfig& hw);
-
-/// Whether --static-verify was passed.
-bool static_verify_flag_present(int argc, char** argv);
-
 /// Run one bench case body under an error boundary.  A throwing case
 /// does not abort the suite: the failure is reported as one
 /// machine-readable line on stdout and the driver keeps going with the
@@ -221,10 +204,6 @@ class SimThroughput {
 ///   --trace-sample=N        sampled warp-op events
 ///   --sanitize[=LIST]       kernel hazard analysis (SanitizerSession)
 ///   --sanitize-report=FILE  vsparse-sanitizer-v1 JSON export
-///   --static-verify         prove the kernel registry safe on this
-///                           session's architecture before any case
-///                           runs (run_static_verify); a refuted
-///                           kernel makes finish() return 1
 ///
 /// and the standard epilogue.  Usage:
 ///
@@ -250,9 +229,6 @@ class DriverSession {
         throughput_(sim_.threads, threads_source(argc, argv)),
         hw_(parse_arch(argc, argv)) {
     if (arch_flag_present(argc, argv)) announce_arch();
-    if (static_verify_flag_present(argc, argv)) {
-      static_refuted_ = run_static_verify(hw_);
-    }
   }
 
   /// SimOptions with threads, tracing, and sanitizing installed; pass
@@ -277,8 +253,7 @@ class DriverSession {
     throughput_.print_summary();
     trace_.finish();
     sanitize_.finish();
-    const int code = bench_exit_code();
-    return static_refuted_ > 0 ? 1 : code;
+    return bench_exit_code();
   }
 
  private:
@@ -289,7 +264,6 @@ class DriverSession {
   gpusim::SimOptions sim_;
   SimThroughput throughput_;
   gpusim::DeviceConfig hw_;
-  int static_refuted_ = 0;
 };
 
 /// Memoized dense baselines evaluated under one hardware model.

@@ -78,18 +78,15 @@ DenseMatrix<half_t> Cvs::to_dense() const {
   return m;
 }
 
-// The device arrays declare vector-load tail slack (Device::alloc), as
-// Sputnik requires its inputs padded: kernels that fetch indices in
-// pairs (LDG.64) can issue the last pair of an odd-length row chunk,
-// and kernels that stream values in 16 B-aligned LDG.128s (spmm_wmma)
-// can issue the final fragment load — up to 7 halves past the last
-// value — without tripping the boundscheck's red-zone guard.
+// The device arrays declare the vector-load tail slack of cvs.hpp, so
+// the widest loads a kernel issues from a row's last element do not
+// trip the boundscheck's red-zone guard.
 CvsDevice to_device(gpusim::Device& dev, const Cvs& m) {
   return CvsDevice{dev.alloc_copy<std::int32_t>(m.row_ptr, "cvs.row_ptr"),
                    dev.alloc_copy<std::int32_t>(m.col_idx, "cvs.col_idx",
-                                                /*tail_slack_elems=*/1),
+                                                kCvsColIdxTailSlack),
                    dev.alloc_copy<half_t>(m.values, "cvs.values",
-                                          /*tail_slack_elems=*/7),
+                                          kCvsValuesTailSlack),
                    m.rows,
                    m.cols,
                    m.v};
@@ -104,9 +101,9 @@ CvsDeviceT<float> to_device_f32(gpusim::Device& dev, const Cvs& m) {
                                                         "cvs.row_ptr"),
                            dev.alloc_copy<std::int32_t>(m.col_idx,
                                                         "cvs.col_idx",
-                                                        /*tail_slack_elems=*/1),
+                                                        kCvsColIdxTailSlack),
                            dev.alloc_copy<float>(widened, "cvs.values",
-                                                 /*tail_slack_elems=*/7),
+                                                 kCvsValuesTailSlack),
                            m.rows,
                            m.cols,
                            m.v};

@@ -12,6 +12,7 @@
 // mask is the pattern without values (§6.4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -70,6 +71,15 @@ struct CvsDeviceT {
 };
 
 using CvsDevice = CvsDeviceT<half_t>;
+
+/// Vector-load tail slack, in elements, the device CVS arrays declare
+/// (Device::alloc).  Sputnik requires its inputs padded the same way:
+/// kernels that fetch indices in pairs (LDG.64) can issue the last pair
+/// of an odd-length row chunk, and kernels that stream values in
+/// 16 B-aligned LDG.128s (spmm_wmma) can issue the final fragment load —
+/// up to 7 halves past the last value.
+inline constexpr std::size_t kCvsColIdxTailSlack = 1;
+inline constexpr std::size_t kCvsValuesTailSlack = 7;
 
 CvsDevice to_device(gpusim::Device& dev, const Cvs& m);
 

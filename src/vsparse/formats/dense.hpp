@@ -5,6 +5,7 @@
 // column-major to absorb the transpose that self-attention needs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -109,17 +110,18 @@ struct DenseDevice {
   }
 };
 
-/// Upload a host matrix to the device.  The buffer declares 15
-/// elements of vector-load tail slack (Device::alloc): the widest
-/// vectorized access any kernel issues from an unaligned base inside
-/// the matrix is 16 elements, so the last in-bounds element can be
-/// loaded as the head of one such vector without a false OOB — the
-/// same Sputnik-style contract the CVS arrays declare (cvs.cpp), and
-/// what the static verifier's contracts assume for dense operands.
+/// Vector-load tail slack, in elements, every uploaded dense matrix
+/// declares (Device::alloc): the widest vectorized access any kernel
+/// issues from an unaligned base inside the matrix is 16 elements, so
+/// the last in-bounds element can be loaded as the head of one such
+/// vector without a false OOB — the same Sputnik-style contract the CVS
+/// arrays declare (cvs.hpp).
+inline constexpr std::size_t kDenseTailSlack = 15;
+
+/// Upload a host matrix to the device, declaring kDenseTailSlack.
 template <class T>
 DenseDevice<T> to_device(gpusim::Device& dev, const DenseMatrix<T>& m) {
-  return DenseDevice<T>{dev.alloc_copy<T>(m.data(), "dense",
-                                          /*tail_slack_elems=*/15),
+  return DenseDevice<T>{dev.alloc_copy<T>(m.data(), "dense", kDenseTailSlack),
                         m.rows(), m.cols(), m.ld(), m.layout()};
 }
 

@@ -74,6 +74,25 @@ Cvs make_cvs_mask(int m, int n, int v, double sparsity, Rng& rng,
   return out;
 }
 
+Cvs make_corner_cvs(int rows, int cols, int v, int vec_row, int count) {
+  VSPARSE_CHECK(v >= 1 && rows >= 0 && rows % v == 0);
+  VSPARSE_CHECK(count >= 0 && count <= cols);
+  VSPARSE_CHECK(vec_row >= 0 && (vec_row < rows / v || count == 0));
+  Cvs out;
+  out.rows = rows;
+  out.cols = cols;
+  out.v = v;
+  out.row_ptr.assign(static_cast<std::size_t>(rows / v) + 1, 0);
+  for (int r = vec_row + 1; r <= rows / v; ++r) {
+    out.row_ptr[static_cast<std::size_t>(r)] = count;
+  }
+  out.col_idx.resize(static_cast<std::size_t>(count));
+  std::iota(out.col_idx.begin(), out.col_idx.end(), cols - count);
+  out.values.assign(out.col_idx.size() * static_cast<std::size_t>(v),
+                    half_t(1.0f));
+  return out;
+}
+
 BlockedEll make_blocked_ell(int m, int k, int block, double sparsity,
                             Rng& rng) {
   VSPARSE_CHECK(m % block == 0 && k % block == 0);

@@ -38,6 +38,15 @@ Cvs make_cvs(int m, int k, int v, double sparsity, Rng& rng,
 Cvs make_cvs_mask(int m, int n, int v, double sparsity, Rng& rng,
                   double row_jitter = 0.0);
 
+/// Adversarial corner operand for the shape-class verifier
+/// (gpusim/verify/verifier.hpp): a rows x cols CVS whose vector-row
+/// `vec_row` holds `count` vectors and every other vector-row is empty,
+/// so that row's extent ends at the last element of col_idx and values.
+/// The row holds the last `count` columns: count == cols stores columns
+/// 0..cols-1, count == cols-1 stores 1..cols-1, and count == 0 is the
+/// empty matrix.  Values are 1.0.
+Cvs make_corner_cvs(int rows, int cols, int v, int vec_row, int count);
+
 /// §7.1.1 Blocked-ELL construction: block size b, blocks per block-row
 /// = ceil((K/b) * (1 - sparsity)), uniform random distinct block
 /// columns, random nonzero values.  Same problem size and sparsity as

@@ -36,9 +36,14 @@ std::uint64_t Device::alloc_bytes(std::size_t bytes, const char* name,
     std::lock_guard<std::mutex> lock(alloc_mutex_);
     const std::size_t used = used_.load(std::memory_order_relaxed);
     aligned = round_up<std::size_t>(used, 256);
-    // Checked as two comparisons so `aligned + bytes` cannot wrap for
+    // A zero-byte allocation still claims its 256 B granule, so the
+    // next allocation gets a base — and an allocation record — of its
+    // own.  Every nonzero size advances the bump pointer exactly as
+    // before.
+    const std::size_t claimed = std::max<std::size_t>(bytes, 1);
+    // Checked as two comparisons so `aligned + claimed` cannot wrap for
     // huge requests (mirrors the Device::translate guard).
-    VSPARSE_CHECK_RAISE(bytes <= capacity_ && aligned <= capacity_ - bytes,
+    VSPARSE_CHECK_RAISE(claimed <= capacity_ && aligned <= capacity_ - claimed,
                         ErrorCode::kOutOfMemory, "gpusim.alloc",
                         "simulated DRAM exhausted: want "
                             << bytes << "B, used " << used << "B of "
@@ -48,7 +53,7 @@ std::uint64_t Device::alloc_bytes(std::size_t bytes, const char* name,
     // advance the bump pointer or the accounting: it only widens what
     // the sanitizer's boundscheck accepts, so declaring slack can never
     // perturb the memory layout a calibrated run depends on.
-    used_.store(aligned + bytes, std::memory_order_relaxed);
+    used_.store(aligned + claimed, std::memory_order_relaxed);
     allocations_.emplace(aligned, AllocInfo{bytes, slack_bytes, true, name});
     const std::size_t live = live_.load(std::memory_order_relaxed) + bytes;
     live_.store(live, std::memory_order_relaxed);

@@ -58,7 +58,8 @@ struct AllocRecord {
   std::uint64_t addr = 0;
   std::size_t bytes = 0;
   /// Sputnik-style vector-load tail: bytes past `bytes` the boundscheck
-  /// accepts as in-bounds (see Device::alloc_copy).  Zero by default.
+  /// accepts as in-bounds for loads — never for stores (see
+  /// Device::alloc).  Zero by default.
   std::size_t slack = 0;
   bool live = true;
   std::string name;  ///< caller-provided label; empty = unnamed
@@ -127,6 +128,8 @@ class Device {
 
   /// Allocate `count` elements of T, 256-byte aligned (so 128 B
   /// transaction alignment analysis is meaningful).  Contents zeroed.
+  /// Every allocation, even a zero-byte one, gets its own base address
+  /// and its own record.
   /// `name` labels the allocation in diagnostics (translate OOB errors,
   /// sanitizer boundscheck reports); empty = unnamed.
   /// Raises vsparse::Error{kAllocOverflow} on size-arithmetic wrap and
@@ -140,7 +143,8 @@ class Device {
   /// the memory layout (and with it every address-sensitive cache
   /// statistic) is unchanged; the tail lives in the 256 B alignment gap
   /// the allocator leaves anyway, and the sanitizer's boundscheck
-  /// accepts it instead of reporting a red-zone hit.  Overhang loads
+  /// accepts loads into it instead of reporting a red-zone hit (a store
+  /// there is still out of bounds).  Overhang loads
   /// return zeros or the neighbouring allocation's bytes; kernels must
   /// never consume them (they exist to keep the *access* legal).
   template <class T>

@@ -628,8 +628,8 @@ void Warp::lds_span(const std::uint32_t* seg_off, int segs, int width,
   VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
   VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
   // Racecheck span fast path: a sanitized span that the admission hook
-  // proves in-bounds and overlap-free (via the static verifier's
-  // span primitive) runs the span memory path below; otherwise it
+  // proves in-bounds and overlap-free (via the exact span-overlap
+  // primitive) runs the span memory path below; otherwise it
   // expands onto the per-lane op for exact per-byte reporting.  A
   // fault plan always diverts (the fault surface is per-lane).
   bool divert = sm().faults() != nullptr;

@@ -33,7 +33,7 @@ struct SanitizerOptions {
   bool bounds = true;  ///< smem bounds, device red-zone guards
 
   /// Racecheck span fast path: a span op whose descriptor is provably
-  /// in-bounds and — by the static verifier's exact overlap primitive
+  /// in-bounds and — by the exact span-overlap primitive
   /// (gpusim/verify/span_set.hpp) — disjoint from every cross-warp
   /// same-epoch access logged this CTA skips the per-byte shadow walk;
   /// its footprint is logged once and replayed into the shadow only if

@@ -14,8 +14,7 @@ SmSanitizer::SmSanitizer(int sm_id, const SanitizerOptions& opts,
     : sm_id_(sm_id),
       opts_(opts),
       allocs_(allocs),
-      smem_bytes_(smem_bytes),
-      shadow_(smem_bytes) {}
+      smem_bytes_(smem_bytes) {}
 
 void SmSanitizer::on_cta_begin(int cta_id, int num_warps) {
   if (gen_ == UINT32_MAX) {
@@ -167,6 +166,10 @@ bool SmSanitizer::admit_span(int warp, const std::uint32_t* seg_off, int segs,
 }
 
 void SmSanitizer::materialize() {
+  // Every per-byte shadow access comes through here first, so the
+  // shadow is allocated on this SM's first shared-memory op: an SM whose
+  // CTAs never touch shared memory never pays for it.
+  if (shadow_.empty()) shadow_.resize(smem_bytes_);
   for (; materialized_ < span_log_.size(); ++materialized_) {
     const SpanRecord& e = span_log_[materialized_];
     if (e.hull) continue;
@@ -416,10 +419,11 @@ void SmSanitizer::check_global(int warp, const AddrLanes& addr,
     if (!(mask & (1u << lane))) continue;
     const std::uint64_t a = addr[static_cast<std::size_t>(lane)];
     const AllocRecord* rec = find_alloc(a);
-    // `slack` extends what counts as in-bounds (the declared
-    // vector-load tail, Device::alloc) without entering the report's
-    // [addr, addr+bytes) range.
-    if (rec == nullptr || a + len > rec->addr + rec->bytes + rec->slack) {
+    // `slack` extends what counts as in-bounds for loads only: it is
+    // the declared vector-load tail (Device::alloc), and a store past
+    // `bytes` is out of bounds however much slack the buffer declares.
+    if (rec == nullptr ||
+        a + len > rec->addr + rec->bytes + (op == Op::kLdg ? rec->slack : 0)) {
       if (!oob.hit) oob_near = rec;
       oob.note(a, HazardSite{});
     } else if (!rec->live) {

@@ -73,7 +73,7 @@ class SmSanitizer {
   void on_smem_store(int warp, const Lanes<std::uint32_t>& off,
                      std::uint32_t mask, std::uint32_t len);
 
-  // -- span fast path (racecheck x static-verifier overlap) -------------
+  // -- span fast path (racecheck x exact span overlap) ------------------
   /// Admit one smem span op without expanding it: true means the op was
   /// fully handled here (footprint logged, one op-stream slot consumed)
   /// and the caller may run the span memory path; false means the
@@ -194,7 +194,7 @@ class SmSanitizer {
   std::size_t smem_bytes_;
   SmTrace* trace_ = nullptr;
 
-  std::vector<ByteShadow> shadow_;  ///< one per smem byte
+  std::vector<ByteShadow> shadow_;  ///< one per smem byte, on first use
   std::uint32_t gen_ = 0;           ///< current CTA generation
   int cta_id_ = -1;
   std::vector<std::uint32_t> arrivals_;  ///< per-warp barrier arrival count

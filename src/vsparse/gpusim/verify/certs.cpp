@@ -1,11 +1,12 @@
 #include "vsparse/gpusim/verify/certs.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
+#include <atomic>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
+#include "vsparse/gpusim/engine/thread_pool.hpp"
 #include "vsparse/serve/error.hpp"
 
 namespace vsparse::verify {
@@ -14,35 +15,14 @@ namespace {
 
 constexpr const char* kSite = "gpusim.verify.certs";
 
-std::string pair_key(std::string_view kernel, std::string_view arch) {
-  std::string key;
-  key.reserve(kernel.size() + arch.size() + 1);
-  key += kernel;
-  key += '|';
-  key += arch;
-  return key;
-}
-
-int verdict_rank(VerdictKind kind) {
-  switch (kind) {
-    case VerdictKind::kRefuted:
-      return 0;
-    case VerdictKind::kUnknown:
-      return 1;
-    case VerdictKind::kProved:
-      return 2;
-  }
-  return 1;
-}
+/// Host threads certify() uses: one per hardware thread, at most 8
+/// (each holds one probe device of up to ~50 MB).
+constexpr std::size_t kMaxWorkers = 8;
 
 void append_escaped(std::string& out, std::string_view s) {
   for (char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else {
-      out += ch;
-    }
+    if (ch == '"' || ch == '\\') out += '\\';
+    out += ch;
   }
 }
 
@@ -67,375 +47,101 @@ void append_dim(std::string& out, const char* name, const DimRange& d) {
          ", \"mod\": " + std::to_string(d.mod) + "}";
 }
 
-/// Same minimal recursive-descent reader as the policy cache
-/// (kernels/policy.cpp), with the certificate-store raise site.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(char ch) {
-    skip_ws();
-    check(pos_ < text_.size() && text_[pos_] == ch,
-          std::string("expected '") + ch + "'");
-    ++pos_;
-  }
-
-  bool consume(char ch) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ch) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char ch = text_[pos_++];
-      if (ch == '\\') {
-        check(pos_ < text_.size(), "truncated escape");
-        ch = text_[pos_++];
-        check(ch == '"' || ch == '\\' || ch == '/', "unsupported escape");
-      }
-      out += ch;
-      check(out.size() <= kMaxCertStringLength, "string too long");
-    }
-    check(pos_ < text_.size(), "unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    check(pos_ > start, "expected number");
-    double value = 0.0;
-    try {
-      value = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      check(false, "unparseable number");
-    }
-    check(std::isfinite(value), "non-finite number");
-    return value;
-  }
-
-  int integer() {
-    const double value = number();
-    const double rounded = std::nearbyint(value);
-    check(value == rounded && std::abs(value) <= 1e9, "expected integer");
-    return static_cast<int>(rounded);
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  void check(bool ok, const std::string& what) {
-    VSPARSE_CHECK_RAISE(ok, ErrorCode::kBadDispatch, kSite,
-                        "malformed certificate store at offset "
-                            << pos_ << ": " << what);
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-ShapeCorner read_shape(JsonReader& in) {
-  ShapeCorner s;
-  in.expect('{');
-  if (!in.consume('}')) {
-    do {
-      const std::string field = in.string();
-      in.expect(':');
-      if (field == "m") {
-        s.m = in.integer();
-      } else if (field == "k") {
-        s.k = in.integer();
-      } else if (field == "n") {
-        s.n = in.integer();
-      } else if (field == "v") {
-        s.v = in.integer();
-      } else if (field == "density") {
-        s.density = in.number();
-      } else {
-        in.check(false, "unknown shape field \"" + field + "\"");
-      }
-    } while (in.consume(','));
-    in.expect('}');
-  }
-  return s;
-}
-
-DimRange read_dim(JsonReader& in) {
-  DimRange d;
-  in.expect('{');
-  do {
-    const std::string field = in.string();
-    in.expect(':');
-    if (field == "lo") {
-      d.lo = in.integer();
-    } else if (field == "hi") {
-      d.hi = in.integer();
-    } else if (field == "mod") {
-      d.mod = in.integer();
-    } else {
-      in.check(false, "unknown dim field \"" + field + "\"");
-    }
-  } while (in.consume(','));
-  in.expect('}');
-  in.check(d.lo >= 0 && d.hi >= d.lo && d.mod >= 1, "invalid dim range");
-  return d;
-}
-
-ShapeClass read_class(JsonReader& in) {
-  ShapeClass cls;
-  in.expect('{');
-  do {
-    const std::string field = in.string();
-    in.expect(':');
-    if (field == "name") {
-      cls.name = in.string();
-    } else if (field == "v") {
-      cls.v = in.integer();
-    } else if (field == "m") {
-      cls.m = read_dim(in);
-    } else if (field == "k") {
-      cls.k = read_dim(in);
-    } else if (field == "n") {
-      cls.n = read_dim(in);
-    } else if (field == "d_lo") {
-      cls.d_lo = in.number();
-    } else if (field == "d_hi") {
-      cls.d_hi = in.number();
-    } else {
-      in.check(false, "unknown class field \"" + field + "\"");
-    }
-  } while (in.consume(','));
-  in.expect('}');
-  in.check(!cls.name.empty(), "class missing name");
-  in.check(cls.v >= 1 && cls.v <= 8, "class v out of range");
-  in.check(cls.d_lo >= 0.0 && cls.d_hi >= cls.d_lo && cls.d_hi <= 1.0,
-           "invalid class density range");
-  return cls;
-}
-
 }  // namespace
 
-void CertStore::put(CertEntry entry) {
-  std::vector<CertEntry>& bucket =
-      entries_[pair_key(entry.kernel, entry.arch)];
-  for (CertEntry& existing : bucket) {
-    if (existing.cls.name == entry.cls.name) {
-      existing = std::move(entry);
-      return;
+std::vector<CertEntry> certify(const std::vector<Target>& targets,
+                               const std::vector<ShapeClass>& classes,
+                               const std::vector<gpusim::DeviceConfig>& archs) {
+  const std::size_t jobs = targets.size() * archs.size();
+  std::vector<std::vector<Verdict>> results(jobs);
+  std::atomic<std::size_t> next{0};
+  const std::size_t workers = std::clamp<std::size_t>(
+      std::min<std::size_t>(jobs, std::thread::hardware_concurrency()), 1,
+      kMaxWorkers);
+  // Probes launch serially (ProbeRig), so they never re-enter the pool.
+  gpusim::ThreadPool::instance().run(static_cast<int>(workers), [&] {
+    for (std::size_t j; (j = next.fetch_add(1)) < jobs;) {
+      results[j] = verify_target(targets[j % targets.size()], classes,
+                                 archs[j / targets.size()]);
+    }
+  });
+
+  std::vector<CertEntry> entries;
+  entries.reserve(jobs * classes.size());
+  for (std::size_t j = 0; j < jobs; ++j) {
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      entries.push_back({targets[j % targets.size()].name,
+                         archs[j / targets.size()].arch, classes[c],
+                         std::move(results[j][c])});
     }
   }
-  bucket.push_back(std::move(entry));
-  ++count_;
-}
-
-const CertEntry* CertStore::lookup(std::string_view kernel,
-                                   std::string_view arch,
-                                   const ShapeCorner& shape) const {
-  const auto it = entries_.find(pair_key(kernel, arch));
-  if (it == entries_.end()) return nullptr;
-  const CertEntry* best = nullptr;
-  for (const CertEntry& entry : it->second) {
-    if (!entry.cls.contains(shape)) continue;
-    if (best == nullptr ||
-        verdict_rank(entry.verdict) < verdict_rank(best->verdict)) {
-      best = &entry;
-    }
-  }
-  return best;
-}
-
-std::vector<const CertEntry*> CertStore::sorted_entries() const {
-  std::vector<const CertEntry*> out;
-  out.reserve(count_);
-  for (const auto& [key, bucket] : entries_) {
-    for (const CertEntry& entry : bucket) out.push_back(&entry);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CertEntry* a, const CertEntry* b) {
-              if (a->kernel != b->kernel) return a->kernel < b->kernel;
-              if (a->arch != b->arch) return a->arch < b->arch;
-              return a->cls.name < b->cls.name;
+  std::sort(entries.begin(), entries.end(),
+            [](const CertEntry& a, const CertEntry& b) {
+              if (a.kernel != b.kernel) return a.kernel < b.kernel;
+              if (a.arch != b.arch) return a.arch < b.arch;
+              return a.cls.name < b.cls.name;
             });
-  return out;
+  return entries;
 }
 
-std::string CertStore::to_json() const {
+std::string certs_json(const std::vector<CertEntry>& entries) {
   std::string out;
   out += "{\n  \"version\": \"";
   out += kCertStoreVersion;
   out += "\",\n  \"entries\": [";
   bool first = true;
-  for (const CertEntry* entry : sorted_entries()) {
+  for (const CertEntry& entry : entries) {
+    const Verdict& v = entry.verdict;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"kernel\": \"";
-    append_escaped(out, entry->kernel);
+    append_escaped(out, entry.kernel);
     out += "\", \"arch\": \"";
-    append_escaped(out, entry->arch);
+    append_escaped(out, entry.arch);
     out += "\", \"class\": {\"name\": \"";
-    append_escaped(out, entry->cls.name);
-    out += "\", \"v\": " + std::to_string(entry->cls.v) + ", ";
-    append_dim(out, "m", entry->cls.m);
+    append_escaped(out, entry.cls.name);
+    out += "\", \"v\": " + std::to_string(entry.cls.v) + ", ";
+    append_dim(out, "m", entry.cls.m);
     out += ", ";
-    append_dim(out, "k", entry->cls.k);
+    append_dim(out, "k", entry.cls.k);
     out += ", ";
-    append_dim(out, "n", entry->cls.n);
-    out += ", \"d_lo\": " + format_density(entry->cls.d_lo) +
-           ", \"d_hi\": " + format_density(entry->cls.d_hi) + "}";
+    append_dim(out, "n", entry.cls.n);
+    out += ", \"d_lo\": " + format_density(entry.cls.d_lo) +
+           ", \"d_hi\": " + format_density(entry.cls.d_hi) + "}";
     out += ", \"verdict\": \"";
-    out += verdict_name(entry->verdict);
+    out += verdict_name(v.kind);
     out += "\"";
-    if (entry->verdict == VerdictKind::kRefuted) {
+    if (v.kind == VerdictKind::kRefuted) {
       out += ", \"counterexample\": ";
-      append_shape(out, entry->counterexample);
+      append_shape(out, v.counterexample);
     }
-    if (!entry->site.empty()) {
+    if (!v.site.empty()) {
       out += ", \"site\": \"";
-      append_escaped(out, entry->site);
+      append_escaped(out, v.site);
       out += "\"";
     }
-    if (!entry->detail.empty()) {
+    if (!v.detail.empty()) {
       out += ", \"detail\": \"";
-      append_escaped(out, entry->detail);
+      append_escaped(out, v.detail);
       out += "\"";
     }
-    out += ", \"corners_checked\": " + std::to_string(entry->corners_checked);
-    out += ", \"corners_rejected\": " +
-           std::to_string(entry->corners_rejected);
+    out += ", \"corners_checked\": " + std::to_string(v.corners_checked);
+    out += ", \"corners_rejected\": " + std::to_string(v.corners_rejected);
     out += "}";
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";
   return out;
 }
 
-CertStore CertStore::from_json(std::string_view text) {
-  VSPARSE_CHECK_RAISE(text.size() <= kMaxCertStoreBytes,
-                      ErrorCode::kBadDispatch, kSite,
-                      "certificate store blob is "
-                          << text.size() << " B, cap " << kMaxCertStoreBytes);
-  CertStore store;
-  JsonReader in(text);
-  in.expect('{');
-  bool saw_version = false;
-  if (in.consume('}')) {
-    VSPARSE_RAISE(ErrorCode::kBadDispatch, kSite,
-                  "certificate store has no version tag");
-  }
-  do {
-    const std::string field = in.string();
-    in.expect(':');
-    if (field == "version") {
-      const std::string version = in.string();
-      VSPARSE_CHECK_RAISE(version == kCertStoreVersion,
-                          ErrorCode::kBadDispatch, kSite,
-                          "certificate store version \""
-                              << version << "\" does not match \""
-                              << kCertStoreVersion
-                              << "\"; re-run the static verifier");
-      saw_version = true;
-    } else if (field == "entries") {
-      in.expect('[');
-      if (!in.consume(']')) {
-        do {
-          in.expect('{');
-          CertEntry entry;
-          bool saw_verdict = false;
-          do {
-            const std::string name = in.string();
-            in.expect(':');
-            if (name == "kernel") {
-              entry.kernel = in.string();
-            } else if (name == "arch") {
-              entry.arch = in.string();
-            } else if (name == "class") {
-              entry.cls = read_class(in);
-            } else if (name == "verdict") {
-              saw_verdict = parse_verdict(in.string(), &entry.verdict);
-              in.check(saw_verdict, "unknown verdict");
-            } else if (name == "counterexample") {
-              entry.counterexample = read_shape(in);
-            } else if (name == "site") {
-              entry.site = in.string();
-            } else if (name == "detail") {
-              entry.detail = in.string();
-            } else if (name == "corners_checked") {
-              entry.corners_checked = in.integer();
-            } else if (name == "corners_rejected") {
-              entry.corners_rejected = in.integer();
-            } else {
-              in.check(false, "unknown entry field \"" + name + "\"");
-            }
-          } while (in.consume(','));
-          in.expect('}');
-          in.check(!entry.kernel.empty() && !entry.arch.empty(),
-                   "entry missing kernel/arch");
-          in.check(!entry.cls.name.empty(), "entry missing shape class");
-          in.check(saw_verdict, "entry missing verdict");
-          in.check(store.count_ < kMaxCertStoreEntries, "too many entries");
-          store.put(std::move(entry));
-        } while (in.consume(','));
-        in.expect(']');
-      }
-    } else {
-      in.check(false, "unknown field \"" + field + "\"");
-    }
-  } while (in.consume(','));
-  in.expect('}');
-  VSPARSE_CHECK_RAISE(saw_version, ErrorCode::kBadDispatch, kSite,
-                      "certificate store has no version tag");
-  VSPARSE_CHECK_RAISE(in.at_end(), ErrorCode::kBadDispatch, kSite,
-                      "trailing content after certificate store object");
-  return store;
-}
-
-void CertStore::save(const std::string& path) const {
+void save_certs(const std::string& path,
+                const std::vector<CertEntry>& entries) {
   std::ofstream out(path, std::ios::binary);
   VSPARSE_CHECK_RAISE(out.good(), ErrorCode::kBadDispatch, kSite,
                       "cannot open certificate store for writing: " << path);
-  const std::string text = to_json();
+  const std::string text = certs_json(entries);
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
   VSPARSE_CHECK_RAISE(out.good(), ErrorCode::kBadDispatch, kSite,
                       "short write persisting certificate store: " << path);
-}
-
-CertStore CertStore::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  VSPARSE_CHECK_RAISE(in.good(), ErrorCode::kBadDispatch, kSite,
-                      "cannot open certificate store: " << path);
-  in.seekg(0, std::ios::end);
-  const auto bytes = in.tellg();
-  VSPARSE_CHECK_RAISE(
-      bytes >= 0 && static_cast<std::uint64_t>(bytes) <= kMaxCertStoreBytes,
-      ErrorCode::kBadDispatch, kSite,
-      "certificate store file is " << bytes << " B, cap "
-                                   << kMaxCertStoreBytes << ": " << path);
-  in.seekg(0, std::ios::beg);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return from_json(text.str());
 }
 
 }  // namespace vsparse::verify

@@ -1,82 +1,40 @@
-// Versioned certificate store for static launch verdicts
-// (`vsparse-static-v1`) — the persisted output of the verifier,
-// consulted O(1) at dispatch and fleet admission.
-//
-// One CertEntry records the verdict for a (kernel, shape class,
-// architecture preset) triple; the store keys entries by
-// "kernel|arch" and scans the handful of classes under that key for
-// containment (a map probe plus a short fixed-size scan — O(1) per
-// lookup, like the policy cache's shape-class buckets).
-//
-// The JSON artifact round-trips through the same external-artifact
-// guardrails as the policy cache: strict recursive-descent parse,
-// version pin, size caps checked before any allocation, structured
-// kBadDispatch raises at site "gpusim.verify.certs".  The CI
-// static-verify job regenerates the artifact from scratch every run
-// and cross-checks `proved` entries against the dynamic sanitizer;
-// the store never mutates a loaded artifact in place.
+// The `vsparse-static-v1` certificate store: one verdict per (kernel,
+// shape class, architecture preset), produced by certify() and written
+// as JSON for CI (validated by tools/validate_static_report.py).
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "vsparse/gpusim/config.hpp"
 #include "vsparse/gpusim/verify/shape_class.hpp"
 #include "vsparse/gpusim/verify/verifier.hpp"
 
 namespace vsparse::verify {
 
 inline constexpr const char* kCertStoreVersion = "vsparse-static-v1";
-inline constexpr std::uint64_t kMaxCertStoreBytes = 16ull << 20;
-inline constexpr std::size_t kMaxCertStoreEntries = 65536;
-inline constexpr std::size_t kMaxCertStringLength = 512;
 
 /// One certified (kernel, shape class, arch) verdict.
 struct CertEntry {
-  std::string kernel;  ///< stable registry name ("spmm_octet")
+  std::string kernel;  ///< target name ("spmm_octet")
   std::string arch;    ///< arch preset name ("volta-v100")
   ShapeClass cls;
-  VerdictKind verdict = VerdictKind::kUnknown;
-  ShapeCorner counterexample;  ///< meaningful for kRefuted only
-  std::string site;            ///< failing / approximated op site
-  std::string detail;
-  int corners_checked = 0;
-  int corners_rejected = 0;
+  Verdict verdict;
 };
 
-class CertStore {
- public:
-  CertStore() = default;
+/// Certifies every target over every class on every architecture,
+/// spreading (target, architecture) pairs over a few host threads.
+/// Entries come back sorted by (kernel, arch, class name), identical
+/// for any thread count.
+std::vector<CertEntry> certify(const std::vector<Target>& targets,
+                               const std::vector<ShapeClass>& classes,
+                               const std::vector<gpusim::DeviceConfig>& archs);
 
-  /// Record (replacing any entry for the same kernel/arch/class name).
-  void put(CertEntry entry);
+/// The store as `vsparse-static-v1` JSON, entries in the given order.
+std::string certs_json(const std::vector<CertEntry>& entries);
 
-  /// The verdict covering `shape` for (kernel, arch); nullptr when no
-  /// certified class contains the shape (treat as unknown).  When
-  /// multiple classes contain the shape, a refuted entry wins (safety
-  /// verdicts must not depend on class enumeration order), then
-  /// unknown, then proved.
-  const CertEntry* lookup(std::string_view kernel, std::string_view arch,
-                          const ShapeCorner& shape) const;
-
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
-  /// All entries, sorted by (kernel, arch, class name) — the
-  /// serialization order.
-  std::vector<const CertEntry*> sorted_entries() const;
-
-  std::string to_json() const;
-  static CertStore from_json(std::string_view text);
-  void save(const std::string& path) const;
-  static CertStore load(const std::string& path);
-
- private:
-  // "kernel|arch" -> that pair's certified classes (a handful each).
-  std::unordered_map<std::string, std::vector<CertEntry>> entries_;
-  std::size_t count_ = 0;
-};
+/// Writes certs_json(entries) to `path`; raises kBadDispatch on I/O
+/// failure.
+void save_certs(const std::string& path, const std::vector<CertEntry>& entries);
 
 }  // namespace vsparse::verify

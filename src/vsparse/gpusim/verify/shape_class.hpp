@@ -1,17 +1,15 @@
-// Shape classes — the parameter-space abstraction the static launch
-// verifier quantifies over.
+// Shape classes — the parameter-space boxes the shape-class verifier
+// certifies kernels over.
 //
 // A ShapeClass is a box over (M, K, N, density) with a per-dimension
 // alignment modulus and an exact vector width V: it denotes every
 // concrete shape whose extents lie in the box and respect the moduli.
 // Every address expression the kernels build is monotone in each of
 // M, K, N, and the per-row nonzero count (strides and extents are
-// nonnegative), so bounds/predication facts proved at the 2^d corner
-// shapes — with the data-dependent quantities (per-row nonzero count,
-// gather columns) evaluated as intervals at each corner — hold for the
-// whole class.  This is the interval/affine abstract domain of
-// ISSUE 10 in its cheapest complete form: corners are concrete, only
-// data-dependent values stay symbolic.
+// nonnegative), so running a kernel at the corner shapes — on operands
+// that put the data-dependent quantities (per-row count, row placement,
+// gather columns) at their extremes (verifier.hpp) — covers the whole
+// class.
 #pragma once
 
 #include <string>

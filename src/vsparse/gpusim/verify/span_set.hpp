@@ -12,10 +12,10 @@
 // segment pairs fall through to the per-lane interval walk (bounded by
 // 32 x 32 lane pairs).
 //
-// Both static verification (shared-memory race freedom between barrier
-// epochs) and the dynamic sanitizer's racecheck fast path (PR 10)
-// consume this primitive, so the two agree by construction on which
-// span pairs are disjoint.
+// The sanitizer's racecheck span fast path is its only user: a
+// shared-memory span op provably disjoint from every cross-warp
+// same-epoch access skips the per-byte shadow walk
+// (sanitizer/shadow.hpp).
 #pragma once
 
 #include <cstdint>

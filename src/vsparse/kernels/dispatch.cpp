@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "vsparse/gpusim/device.hpp"
-#include "vsparse/gpusim/verify/certs.hpp"
 #include "vsparse/kernels/policy.hpp"
 #include "vsparse/serve/supervisor.hpp"
 
@@ -15,59 +14,6 @@ double cvs_density(const CvsDevice& m) {
   const double total = static_cast<double>(m.rows) * m.cols;
   if (total == 0) return 0.0;
   return static_cast<double>(m.col_idx.size()) * m.v / total;
-}
-
-verify::ShapeCorner dispatch_corner(const DispatchShape& s) {
-  return verify::ShapeCorner{s.m, s.k, s.n, s.v, s.density};
-}
-
-/// The refuting certificate for (kernel, arch) covering `shape`, or
-/// nullptr when the store is absent, the shape is uncovered, or the
-/// covering verdict is proved/unknown.
-const verify::CertEntry* refuting_cert(const verify::CertStore* certs,
-                                       const char* kernel,
-                                       std::string_view arch,
-                                       const DispatchShape& shape) {
-  if (certs == nullptr) return nullptr;
-  const verify::CertEntry* entry =
-      certs->lookup(kernel, arch, dispatch_corner(shape));
-  if (entry == nullptr || entry->verdict != verify::VerdictKind::kRefuted) {
-    return nullptr;
-  }
-  return entry;
-}
-
-[[noreturn]] void raise_refuted(const verify::CertEntry& cert) {
-  VSPARSE_RAISE(ErrorCode::kBadDispatch, "kernels.dispatch",
-                "kernel " << cert.kernel
-                          << " is statically refuted over shape class "
-                          << cert.cls.name << " on " << cert.arch << " at "
-                          << cert.site << " (counterexample "
-                          << cert.counterexample.str() << ")");
-}
-
-/// kAuto divert: the first eligible CVS-operand kernel, in ladder-rank
-/// order, without a refuting certificate.  Raises when every candidate
-/// is refuted — a launch the verifier proved unsafe must never run.
-template <class Algo>
-Algo divert_auto(KernelOp op, Algo refuted_algo,
-                 const verify::CertEntry& refuted,
-                 const verify::CertStore* certs, std::string_view arch,
-                 const DispatchShape& shape) {
-  for (const LadderEntry& rung : fallback_ladder(op, shape)) {
-    const KernelDesc& desc = *rung.desc;
-    // Plain dispatch has CVS operands only and no ABFT context; the
-    // re-encode / ABFT rungs belong to the serving ladder.
-    if (!desc.dispatchable() || desc.format != OperandFormat::kCvs ||
-        rung.abft) {
-      continue;
-    }
-    if (static_cast<Algo>(desc.algorithm) == refuted_algo) continue;
-    if (!desc.supports_v(shape.v)) continue;
-    if (refuting_cert(certs, desc.name, arch, shape) != nullptr) continue;
-    return static_cast<Algo>(desc.algorithm);
-  }
-  raise_refuted(refuted);
 }
 
 }  // namespace
@@ -101,20 +47,12 @@ KernelRun spmm(gpusim::Device& dev, const CvsDevice& a,
     VSPARSE_CHECK_RAISE(algo == SpmmAlgorithm::kOctet, ErrorCode::kBadDispatch,
                         "kernels.dispatch",
                         "ABFT is only implemented for the octet SpMM kernel");
-    // The ABFT wrapper replays the same octet launch geometry, so the
-    // plain kernel's certificate gates it too.
-    if (const verify::CertEntry* cert =
-            refuting_cert(options.certs, kernel_for(algo).name,
-                          dev.config().arch, spmm_dispatch_shape(a, b))) {
-      raise_refuted(*cert);
-    }
     const AbftOptions abft = *options.abft;
     return kernel_for(algo).spmm_abft_launch(
         SpmmCall{dev, a, b, c, options.sim, &abft});
   }
-  const bool was_auto = algo == SpmmAlgorithm::kAuto;
-  const DispatchShape shape = spmm_dispatch_shape(a, b);
-  if (was_auto) {
+  if (algo == SpmmAlgorithm::kAuto) {
+    const DispatchShape shape = spmm_dispatch_shape(a, b);
     const KernelDesc* cached =
         options.policy != nullptr
             ? options.policy->lookup(KernelOp::kSpmm, dev.config().arch,
@@ -122,12 +60,6 @@ KernelRun spmm(gpusim::Device& dev, const CvsDevice& a,
             : nullptr;
     algo = cached != nullptr ? static_cast<SpmmAlgorithm>(cached->algorithm)
                              : resolve_auto_spmm(shape);
-  }
-  if (const verify::CertEntry* cert = refuting_cert(
-          options.certs, kernel_for(algo).name, dev.config().arch, shape)) {
-    if (!was_auto) raise_refuted(*cert);
-    algo = divert_auto(KernelOp::kSpmm, algo, *cert, options.certs,
-                       dev.config().arch, shape);
   }
   return kernel_for(algo).spmm_launch(SpmmCall{dev, a, b, c, options.sim});
 }
@@ -144,9 +76,8 @@ KernelRun sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
     return serve::supervised_sddmm(dev, a, b, mask, out_values, options);
   }
   SddmmAlgorithm algo = options.algorithm;
-  const bool was_auto = algo == SddmmAlgorithm::kAuto;
-  const DispatchShape shape = sddmm_dispatch_shape(a, mask);
-  if (was_auto) {
+  if (algo == SddmmAlgorithm::kAuto) {
+    const DispatchShape shape = sddmm_dispatch_shape(a, mask);
     const KernelDesc* cached =
         options.policy != nullptr
             ? options.policy->lookup(KernelOp::kSddmm, dev.config().arch,
@@ -154,12 +85,6 @@ KernelRun sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
             : nullptr;
     algo = cached != nullptr ? static_cast<SddmmAlgorithm>(cached->algorithm)
                              : resolve_auto_sddmm(shape);
-  }
-  if (const verify::CertEntry* cert = refuting_cert(
-          options.certs, kernel_for(algo).name, dev.config().arch, shape)) {
-    if (!was_auto) raise_refuted(*cert);
-    algo = divert_auto(KernelOp::kSddmm, algo, *cert, options.certs,
-                       dev.config().arch, shape);
   }
   return kernel_for(algo).sddmm_launch(
       SddmmCall{dev, a, b, mask, out_values, options.sim});

@@ -42,10 +42,6 @@ struct ServePolicy;
 struct ServeReport;
 }  // namespace vsparse::serve
 
-namespace vsparse::verify {
-class CertStore;
-}  // namespace vsparse::verify
-
 namespace vsparse::kernels {
 
 class PolicyCache;
@@ -81,16 +77,6 @@ struct SpmmOptions {
   /// exactly — same off-by-default contract as `serve`.  The cache
   /// must outlive the call.
   const PolicyCache* policy = nullptr;
-
-  /// Opt-in static-verification gate (gpusim/verify/certs.hpp): with a
-  /// certificate store attached, a kernel whose certified verdict for
-  /// this (shape class, architecture) is `refuted` is never launched —
-  /// kAuto diverts to the first non-refuted eligible kernel, and an
-  /// explicitly requested refuted kernel raises kBadDispatch carrying
-  /// the counterexample shape.  Null (the default), uncovered shapes,
-  /// and `unknown` verdicts change nothing (the dynamic sanitizer
-  /// stays authoritative there).  The store must outlive the call.
-  const verify::CertStore* certs = nullptr;
 };
 
 /// Everything one sddmm() call can vary.  `abft` is reserved: no SDDMM
@@ -107,9 +93,6 @@ struct SddmmOptions {
 
   /// Autotuned dispatch policy, as in SpmmOptions.
   const PolicyCache* policy = nullptr;
-
-  /// Static-verification gate, as in SpmmOptions.
-  const verify::CertStore* certs = nullptr;
 };
 
 /// The DispatchShape (registry/policy key) of one SpMM call's operands

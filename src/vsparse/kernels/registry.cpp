@@ -13,7 +13,6 @@
 #include "vsparse/kernels/spmm/spmm_fpu.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
 #include "vsparse/kernels/spmm/spmm_octet_abft.hpp"
-#include "vsparse/kernels/contracts.hpp"
 #include "vsparse/kernels/spmm/spmm_wmma.hpp"
 #include "vsparse/serve/error.hpp"
 
@@ -124,44 +123,42 @@ const std::vector<KernelDesc>& kernel_registry() {
       {"spmm_octet", KernelOp::kSpmm,
        static_cast<int>(SpmmAlgorithm::kOctet), OperandFormat::kCvs, kVTcu,
        /*has_abft=*/true, /*ladder_rank=*/0, &tcu_64col, &run_spmm_octet,
-       &run_spmm_octet_abft, nullptr, &contracts::spmm_octet},
+       &run_spmm_octet_abft, nullptr},
       {"spmm_wmma_warp", KernelOp::kSpmm,
        static_cast<int>(SpmmAlgorithm::kWmmaWarp), OperandFormat::kCvs,
        kVTcu, false, kNotInLadder, &tcu_64col, &run_spmm_wmma, nullptr,
-       nullptr, &contracts::spmm_wmma_warp},
+       nullptr},
       {"spmm_fpu_subwarp", KernelOp::kSpmm,
        static_cast<int>(SpmmAlgorithm::kFpuSubwarp), OperandFormat::kCvs,
        kVAll, false, /*ladder_rank=*/3, &fpu_16col, &run_spmm_fpu, nullptr,
-       nullptr, &contracts::spmm_fpu_subwarp},
+       nullptr},
       {"spmm_csr_fine", KernelOp::kSpmm,
        static_cast<int>(SpmmAlgorithm::kCsrFine), OperandFormat::kCvs,
        kVScalar, false, /*ladder_rank=*/4, &scalar_32col,
-       &run_spmm_csr_fine, nullptr, nullptr, &contracts::spmm_csr_fine},
+       &run_spmm_csr_fine, nullptr, nullptr},
       {"spmm_blocked_ell", KernelOp::kSpmm, kNoAlgorithm,
        OperandFormat::kBlockedEll, kVTcu, false, /*ladder_rank=*/1,
-       &tcu_64col, &run_spmm_blocked_ell, nullptr, nullptr,
-       &contracts::spmm_blocked_ell},
+       &tcu_64col, &run_spmm_blocked_ell, nullptr, nullptr},
       {"spmm_dense_gemm", KernelOp::kSpmm, kNoAlgorithm,
        OperandFormat::kDense, kVAll, false, /*ladder_rank=*/2,
-       &dense_tiles, &run_spmm_dense_gemm, nullptr, nullptr,
-       &contracts::spmm_dense_gemm},
+       &dense_tiles, &run_spmm_dense_gemm, nullptr, nullptr},
       // ---- SDDMM -----------------------------------------------------
       {"sddmm_octet", KernelOp::kSddmm,
        static_cast<int>(SddmmAlgorithm::kOctet), OperandFormat::kCvs, kVTcu,
        false, kNotInLadder, &sddmm_tcu, nullptr, nullptr,
-       &run_sddmm_octet, &contracts::sddmm_octet},
+       &run_sddmm_octet},
       {"sddmm_wmma_warp", KernelOp::kSddmm,
        static_cast<int>(SddmmAlgorithm::kWmmaWarp), OperandFormat::kCvs,
        kVTcu, false, /*ladder_rank=*/0, &sddmm_tcu, nullptr, nullptr,
-       &run_sddmm_wmma, &contracts::sddmm_wmma_warp},
+       &run_sddmm_wmma},
       {"sddmm_fpu_subwarp", KernelOp::kSddmm,
        static_cast<int>(SddmmAlgorithm::kFpuSubwarp), OperandFormat::kCvs,
        kVAll, false, /*ladder_rank=*/1, &sddmm_any, nullptr, nullptr,
-       &run_sddmm_fpu, &contracts::sddmm_fpu_subwarp},
+       &run_sddmm_fpu},
       {"sddmm_csr_fine", KernelOp::kSddmm,
        static_cast<int>(SddmmAlgorithm::kCsrFine), OperandFormat::kCvs,
        kVScalar, false, /*ladder_rank=*/2, &sddmm_scalar, nullptr, nullptr,
-       &run_sddmm_csr_fine, &contracts::sddmm_csr_fine},
+       &run_sddmm_csr_fine},
   };
   return kTable;
 }

@@ -32,15 +32,6 @@
 #include "vsparse/formats/dense.hpp"
 #include "vsparse/kernels/api.hpp"
 
-namespace vsparse::gpusim {
-struct DeviceConfig;
-}  // namespace vsparse::gpusim
-
-namespace vsparse::verify {
-class CtaModel;
-struct ShapeCorner;
-}  // namespace vsparse::verify
-
 namespace vsparse::kernels {
 
 enum class SpmmAlgorithm : std::uint8_t {
@@ -106,15 +97,6 @@ struct SddmmCall {
   const gpusim::SimOptions& sim;
 };
 
-/// Static launch contract (gpusim/verify): replays the address
-/// behaviour of one representative CTA at a concrete corner shape
-/// against the abstract CTA model.  Every registered kernel must
-/// provide one (registry_test pins this); the verifier reports
-/// `unknown` for a null hook.
-using ContractFn = void (*)(verify::CtaModel& m,
-                            const verify::ShapeCorner& shape,
-                            const gpusim::DeviceConfig& hw);
-
 /// A desc with no SpmmAlgorithm/SddmmAlgorithm value: reachable only
 /// as a degradation-ladder rung, never by direct dispatch.
 inline constexpr int kNoAlgorithm = -1;
@@ -147,8 +129,6 @@ struct KernelDesc {
   KernelRun (*spmm_launch)(const SpmmCall& call);
   KernelRun (*spmm_abft_launch)(const SpmmCall& call);
   KernelRun (*sddmm_launch)(const SddmmCall& call);
-  /// Static launch contract for the verifier (kernels/contracts.cpp).
-  ContractFn contract;
 
   bool supports_v(int v) const {
     return v >= 1 && v <= 15 && (v_mask & (1u << v)) != 0;

@@ -12,6 +12,7 @@
 
 #include "vsparse/fp16/vec.hpp"
 #include "vsparse/gpusim/device.hpp"
+#include "vsparse/gpusim/sanitizer/report.hpp"
 
 namespace vsparse::gpusim {
 namespace {
@@ -57,6 +58,40 @@ TEST(Device, PeakMemoryAccounting) {
   dev.free(b);
   EXPECT_EQ(dev.live_bytes(), 0u);
   EXPECT_THROW(dev.free(b), CheckError);  // double free detected
+}
+
+TEST(Device, ZeroByteAllocationsKeepTheirOwnRecords) {
+  Device dev(small_config());
+  auto z = dev.alloc<int>(0, "z");
+  auto b = dev.alloc<std::uint16_t>(1024, "b");
+  EXPECT_NE(z.addr(), b.addr());
+  const std::vector<AllocRecord> snapshot = dev.allocation_snapshot();
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot[0].name, "z");
+  EXPECT_EQ(snapshot[1].name, "b");
+  EXPECT_EQ(snapshot[1].bytes, 2048u);
+
+  // A sanitized load from the second buffer is charged to its own
+  // record, not to the empty one below it.
+  Sanitizer sink;
+  SimOptions sim;
+  sim.sanitize.sink = &sink;
+  LaunchConfig cfg;
+  cfg.grid = 1;
+  cfg.cta_threads = 32;
+  const std::uint64_t last = b.addr(b.size() - 1);
+  launch(dev, cfg, [last](Cta& cta) {
+    AddrLanes addr{};
+    addr[0] = last;
+    Lanes<std::uint16_t> dst{};
+    cta.warp(0).ldg(addr, dst, 0x1u);
+  }, sim);
+  EXPECT_EQ(sink.num_launches(), 1u);
+  EXPECT_EQ(sink.num_reports(), 0u);
+
+  dev.free(b);
+  dev.free(z);
+  EXPECT_EQ(dev.live_bytes(), 0u);
 }
 
 TEST(Device, OutOfBoundsTranslateThrows) {

@@ -280,6 +280,41 @@ TEST(Sanitizer, GlobalRedZoneReadFiresOnce) {
       << "OOB report names the nearest allocation: " << r.detail;
 }
 
+TEST(Sanitizer, StoreIntoTailSlackIsOob) {
+  LaunchConfig cfg;
+  cfg.grid = 8;
+  cfg.cta_threads = 32;
+  // 100 ints end at +400 with 16 B of declared vector-load slack (and
+  // the next allocation at +512): a load of the int at +400 is legal, a
+  // store there is not.
+  const auto body_at = [](bool store) {
+    return [store](Device& dev) {
+      auto out = dev.alloc<std::int32_t>(100, "out", /*tail_slack_bytes=*/16);
+      dev.alloc<std::int32_t>(64, "next");
+      const std::uint64_t tail = out.addr() + out.bytes();
+      return [store, tail](Cta& cta) {
+        AddrLanes addr{};
+        addr[0] = tail;
+        Lanes<std::int32_t> data{};
+        if (store) {
+          cta.warp(0).stg(addr, data, 0x1u);
+        } else {
+          cta.warp(0).ldg(addr, data, 0x1u);
+        }
+      };
+    };
+  };
+  const auto stored = run_seeded(cfg, all_tools(), body_at(true));
+  ASSERT_EQ(stored.reports.size(), 1u);
+  EXPECT_EQ(stored.reports[0].kind, HazardKind::kGlobalOob);
+  EXPECT_EQ(stored.reports[0].second.op, Op::kStg);
+  EXPECT_NE(stored.reports[0].detail.find("'out'"), std::string::npos)
+      << stored.reports[0].detail;
+
+  const auto loaded = run_seeded(cfg, all_tools(), body_at(false));
+  EXPECT_TRUE(loaded.reports.empty());
+}
+
 TEST(Sanitizer, UseAfterFreeDetected) {
   LaunchConfig cfg;
   cfg.grid = 2;

@@ -1,70 +1,34 @@
-// Static launch verifier tests: the interval domain, the exact span
-// overlap primitive, shape-class corner enumeration, the full-registry
-// zero-refutation sweep on every architecture preset, seeded-broken
-// contracts that must be refuted with a concrete counterexample, the
-// certificate store round-trip, and the cert-gated dispatch path.
+// Shape-class verifier tests: the exact span overlap primitive, shape
+// class corner enumeration, the corner operands, the whole certified
+// set proved over small classes on every architecture preset by
+// running the real kernels at the class corners, eligible() agreeing
+// with the kernels' own preconditions, and seeded-broken launch bodies
+// refuted with an in-class counterexample.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/gpusim/arch.hpp"
-#include "vsparse/gpusim/device.hpp"
+#include "vsparse/gpusim/engine/lanes.hpp"
+#include "vsparse/gpusim/engine/launch.hpp"
+#include "vsparse/gpusim/engine/launch_config.hpp"
 #include "vsparse/gpusim/verify/certs.hpp"
-#include "vsparse/gpusim/verify/interval.hpp"
 #include "vsparse/gpusim/verify/span_set.hpp"
 #include "vsparse/gpusim/verify/verifier.hpp"
-#include "vsparse/kernels/contracts.hpp"
-#include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/kernels/registry.hpp"
-#include "vsparse/serve/error.hpp"
 
 namespace vsparse {
 namespace {
 
-using verify::CertEntry;
-using verify::CertStore;
-using verify::Ival;
 using verify::ShapeClass;
 using verify::ShapeCorner;
 using verify::SpanRef;
 using verify::Verdict;
 using verify::VerdictKind;
-
-// ---- interval domain --------------------------------------------------
-
-TEST(Ival, ArithmeticIsMonotoneAndExactOnPoints) {
-  const Ival a(2, 5);
-  const Ival b(-1, 3);
-  EXPECT_EQ((a + b).lo, 1);
-  EXPECT_EQ((a + b).hi, 8);
-  EXPECT_EQ((a - b).lo, -1);
-  EXPECT_EQ((a - b).hi, 6);
-  EXPECT_EQ((a * b).lo, -5);
-  EXPECT_EQ((a * b).hi, 15);
-  const Ival p(7);
-  EXPECT_TRUE(p.is_point());
-  EXPECT_EQ((p * p).lo, 49);
-  EXPECT_TRUE(a.contains(5));
-  EXPECT_FALSE(a.contains(6));
-  EXPECT_EQ(a.hull(b).lo, -1);
-  EXPECT_EQ(a.hull(b).hi, 5);
-}
-
-TEST(Ival, SaturatesInsteadOfWrapping) {
-  const std::int64_t big = std::numeric_limits<std::int64_t>::max();
-  const Ival huge(big - 1, big);
-  EXPECT_EQ((huge + huge).hi, big);      // no wrap to negative
-  EXPECT_EQ((huge * Ival(2)).hi, big);
-  EXPECT_EQ((Ival(-big, -big + 1) - huge).lo,
-            std::numeric_limits<std::int64_t>::min());
-}
 
 // ---- exact span overlap ----------------------------------------------
 
@@ -134,47 +98,85 @@ TEST(ShapeClasses, SingletonDenotesExactlyOneShape) {
   }
 }
 
-// ---- the shipped registry is proved everywhere ------------------------
+// ---- corner operands --------------------------------------------------
 
-TEST(Verifier, EveryRegisteredKernelHasAContract) {
-  for (const kernels::KernelDesc& desc : kernels::kernel_registry()) {
-    EXPECT_NE(desc.contract, nullptr) << desc.name;
-  }
-  EXPECT_FALSE(verify::extra_contracts().empty());
-  for (const verify::ExtraContract& extra : verify::extra_contracts()) {
-    EXPECT_NE(extra.contract, nullptr) << extra.name;
-  }
-}
-
-TEST(Verifier, FullRegistryProvedOverBuiltinClassesOnEveryPreset) {
-  const std::vector<ShapeClass> classes = verify::builtin_shape_classes();
-  ASSERT_FALSE(classes.empty());
-  int proved = 0;
-  for (const gpusim::ArchPreset& preset : gpusim::arch_presets()) {
-    const gpusim::DeviceConfig hw = preset.make();
-    for (const kernels::KernelDesc& desc : kernels::kernel_registry()) {
-      for (const ShapeClass& cls : classes) {
-        const Verdict v = verify::verify_kernel(desc.contract, cls, hw);
-        EXPECT_NE(v.kind, VerdictKind::kRefuted)
-            << desc.name << " over " << cls.name << " on " << preset.name
-            << ": " << v.detail << " at " << v.site << " (counterexample "
-            << v.counterexample.str() << ")";
-        if (v.kind == VerdictKind::kProved) ++proved;
+TEST(CornerOperand, ProbedRowEndsAtTheLastElementOfItsArrays) {
+  for (int v : {1, 2, 4, 8}) {
+    const int rows = 64, cols = 48;
+    for (int row : {0, rows / v - 1}) {
+      for (int count : {cols, cols - 1}) {
+        const Cvs m = make_corner_cvs(rows, cols, v, row, count);
+        EXPECT_NO_THROW(m.validate());
+        const auto r = static_cast<std::size_t>(row);
+        // Every other row is empty, so the probed row starts at 0 and
+        // ends at the last element of col_idx and values.
+        EXPECT_EQ(m.row_ptr[r], 0);
+        EXPECT_EQ(m.row_ptr[r + 1], m.nnz_vectors());
+        EXPECT_EQ(m.nnz_vectors(), count);
+        EXPECT_EQ(m.values.size(), static_cast<std::size_t>(count * v));
+        EXPECT_EQ(m.col_idx.back(), cols - 1);
+        EXPECT_EQ(m.col_idx.front(), cols - count);
       }
     }
+    const Cvs full = make_corner_cvs(rows, cols, v, 0, cols);
+    EXPECT_EQ(full.col_idx.front(), 0);  // gathers columns 0 and cols-1
+    const Cvs empty = make_corner_cvs(rows, cols, v, 0, 0);
+    EXPECT_NO_THROW(empty.validate());
+    EXPECT_EQ(empty.nnz_vectors(), 0);
+    EXPECT_TRUE(empty.values.empty());
   }
-  EXPECT_GT(proved, 0);
 }
 
-// eligible() and the verifier must agree on a seeded shape corpus:
-// a dispatchable shape is never refuted (the shipped kernels are safe
-// on every shape they accept), and the proof at an ineligible shape is
-// by precondition rejection, never by running the kernel body.
+// ---- the certified set is proved everywhere ---------------------------
+
+/// Small classes: every vector width, m and k in [64, 256], n in
+/// [64, 128] — the extents serve_load requests use.
+std::vector<ShapeClass> small_classes() {
+  std::vector<ShapeClass> out;
+  for (int v : {1, 2, 4, 8}) {
+    ShapeClass c;
+    c.name = "small-v" + std::to_string(v);
+    c.v = v;
+    c.m = {64, 256, 64};
+    c.k = {64, 256, 64};
+    c.n = {64, 128, 64};
+    c.d_lo = 0.05;
+    c.d_hi = 0.5;
+    out.push_back(c);
+  }
+  return out;
+}
+
+TEST(Verifier, FullRegistryProvedOverSmallClassesOnEveryPreset) {
+  std::vector<gpusim::DeviceConfig> archs;
+  for (const gpusim::ArchPreset& preset : gpusim::arch_presets()) {
+    archs.push_back(preset.make());
+  }
+  const std::vector<verify::Target>& targets = verify::verification_targets();
+  ASSERT_EQ(targets.size(), kernels::kernel_registry().size() + 4);
+  const std::vector<verify::CertEntry> entries =
+      verify::certify(targets, small_classes(), archs);
+  ASSERT_EQ(entries.size(), targets.size() * archs.size() * 4);
+  int ran = 0;
+  for (const verify::CertEntry& e : entries) {
+    EXPECT_EQ(e.verdict.kind, VerdictKind::kProved)
+        << e.kernel << " over " << e.cls.name << " on " << e.arch << ": "
+        << e.verdict.detail << " at " << e.verdict.site
+        << " (counterexample " << e.verdict.counterexample.str() << ")";
+    if (e.verdict.corners_rejected < e.verdict.corners_checked) ++ran;
+  }
+  EXPECT_GT(ran, 0);
+}
+
+// eligible() and the kernels' own preconditions agree on a seeded shape
+// corpus: a shape a desc calls eligible is run (never rejected) and
+// never refuted, and an ineligible shape is rejected before any launch.
 TEST(Verifier, EligibleAgreesWithVerdictsOnSeededCorpus) {
   Rng rng(0xC0FFEEu);
   const gpusim::DeviceConfig hw = gpusim::DeviceConfig::volta_v100();
   const int dims[] = {16, 32, 64, 128, 192, 256};
   const int vs[] = {1, 2, 4, 8};
+  std::vector<ShapeClass> corpus;
   for (int i = 0; i < 40; ++i) {
     ShapeCorner s;
     s.m = dims[rng.uniform_int(0, 5)];
@@ -182,51 +184,55 @@ TEST(Verifier, EligibleAgreesWithVerdictsOnSeededCorpus) {
     s.n = dims[rng.uniform_int(0, 5)];
     s.v = vs[rng.uniform_int(0, 3)];
     s.density = 0.1 + 0.2 * rng.uniform_int(0, 4);
-    const ShapeClass cls = ShapeClass::singleton("corpus", s);
-    const kernels::DispatchShape ds{s.m, s.k, s.n, s.v, s.density};
-    for (const kernels::KernelDesc& desc : kernels::kernel_registry()) {
-      const Verdict v = verify::verify_kernel(desc.contract, cls, hw);
-      EXPECT_NE(v.kind, VerdictKind::kRefuted)
+    corpus.push_back(ShapeClass::singleton("corpus" + std::to_string(i), s));
+  }
+  const std::vector<kernels::KernelDesc>& registry = kernels::kernel_registry();
+  for (std::size_t d = 0; d < registry.size(); ++d) {
+    const kernels::KernelDesc& desc = registry[d];
+    const std::vector<Verdict> verdicts =
+        verify::verify_target(verify::verification_targets()[d], corpus, hw);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const ShapeCorner s = corpus[i].corners().front();
+      const Verdict& v = verdicts[i];
+      EXPECT_EQ(v.kind, VerdictKind::kProved)
           << desc.name << " on " << s.str() << ": " << v.detail;
-      if (desc.eligible(ds) && v.kind == VerdictKind::kProved) {
-        EXPECT_LT(v.corners_rejected, v.corners_checked)
-            << desc.name << " rejected the eligible shape " << s.str();
-      }
+      const kernels::DispatchShape ds{s.m, s.k, s.n, s.v, s.density};
+      EXPECT_EQ(desc.eligible(ds) && desc.supports_v(s.v),
+                v.corners_rejected < v.corners_checked)
+          << desc.name << " on " << s.str();
     }
   }
 }
 
-// ---- seeded-broken contracts must be refuted --------------------------
+// ---- seeded-broken kernels must be refuted ----------------------------
 
-// A store one element past the end of its buffer: classic missing
-// `-1` on the tail extent.
-void broken_bounds_contract(verify::CtaModel& m, const ShapeCorner& s,
-                            const gpusim::DeviceConfig&) {
-  m.launch(1, 0);
-  const std::int64_t bytes = std::int64_t{2} * s.m * s.n;
-  const int out = m.gbuf("c", bytes);
-  // Last row writeback with the row index off by one.
-  m.stg1(out, Ival(std::int64_t{2} * s.m * s.n - 64 + 2), 2, 2, 0xFFFFFFFFu,
-         "broken.writeback");
-  m.finish();
+/// A target whose runner launches `cfg` with the body `make_body` builds
+/// on the probe device.
+template <class MakeBody>
+verify::Target seeded(const char* name, gpusim::LaunchConfig cfg,
+                      MakeBody make_body) {
+  return {name, verify::SparseOperand::kNone,
+          [cfg, make_body](verify::ProbeDevice& pd, const verify::Probe& p) {
+            gpusim::launch(pd.dev(), cfg, make_body(pd, p));
+          }};
 }
 
-// A CTA-wide barrier after one warp took a divergent early exit.
-void broken_barrier_contract(verify::CtaModel& m, const ShapeCorner&,
-                             const gpusim::DeviceConfig&) {
-  m.launch(2, 256);
-  m.skip_rest(0);
-  m.sync();
-  m.finish();
+gpusim::LaunchConfig one_cta(int threads, std::size_t smem = 0) {
+  gpusim::LaunchConfig cfg;
+  cfg.grid = 1;
+  cfg.cta_threads = threads;
+  cfg.smem_bytes = smem;
+  return cfg;
 }
 
-// Two warps storing to the same shared-memory bytes in one epoch.
-void broken_race_contract(verify::CtaModel& m, const ShapeCorner&,
-                          const gpusim::DeviceConfig&) {
-  m.launch(2, 1024);
-  m.sts(0, {0}, 32, 4, 4, 0xFFFFFFFFu, "broken.sts.w0");
-  m.sts(1, {64}, 32, 4, 4, 0xFFFFFFFFu, "broken.sts.w1");  // lanes collide
-  m.finish();
+/// One lane storing a half at `addr`.
+auto store_at(std::uint64_t addr) {
+  return [addr](gpusim::Cta& cta) {
+    gpusim::AddrLanes lanes{};
+    lanes[0] = addr;
+    gpusim::Lanes<half_t> data{};
+    cta.warp(0).stg(lanes, data, 0x1u);
+  };
 }
 
 TEST(Verifier, SeededBrokenKernelsAreRefutedWithConcreteCounterexample) {
@@ -240,207 +246,77 @@ TEST(Verifier, SeededBrokenKernelsAreRefutedWithConcreteCounterexample) {
   cls.d_lo = 0.3;
   cls.d_hi = 0.3;
 
-  const Verdict bounds = verify::verify_kernel(broken_bounds_contract, cls, hw);
-  ASSERT_EQ(bounds.kind, VerdictKind::kRefuted);
-  EXPECT_EQ(bounds.site, "broken.writeback");
-  EXPECT_TRUE(cls.contains(bounds.counterexample))
-      << bounds.counterexample.str();
-  EXPECT_FALSE(bounds.detail.empty());
+  // A store one element past an M x N output with a live array behind
+  // it: M * N * 2 is a multiple of 256 B for every member, so the store
+  // lands on the next allocation — the dead guard, not the neighbour.
+  const verify::Target overrun = seeded(
+      "broken.overrun", one_cta(32), [](verify::ProbeDevice& pd,
+                                        const verify::Probe& p) {
+        const std::size_t elems =
+            static_cast<std::size_t>(p.shape.m) * p.shape.n;
+        const auto out = pd.alloc<half_t>(elems, "out");
+        pd.alloc<half_t>(elems, "neighbour");
+        return store_at(out.addr(out.size()));
+      });
+  // A store into the declared vector-load slack of an output whose end
+  // is not 256 B-aligned: the tail is legal to load, never to store.
+  const verify::Target slack = seeded(
+      "broken.slack_store", one_cta(32), [](verify::ProbeDevice& pd,
+                                            const verify::Probe& p) {
+        const auto out = pd.alloc<half_t>(
+            static_cast<std::size_t>(p.shape.m) * p.shape.n - 1, "out",
+            kDenseTailSlack);
+        return store_at(out.addr(out.size()));
+      });
+  // A barrier under a partial lane mask.
+  const verify::Target barrier =
+      seeded("broken.barrier", one_cta(32),
+             [](verify::ProbeDevice&, const verify::Probe&) {
+               return [](gpusim::Cta& cta) {
+                 cta.warp(0).bar_sync(0x0000FFFFu);
+               };
+             });
+  // Two warps storing overlapping shared-memory bytes in one epoch.
+  const verify::Target race =
+      seeded("broken.smem_race", one_cta(64, 1024),
+             [](verify::ProbeDevice&, const verify::Probe&) {
+               return [](gpusim::Cta& cta) {
+                 gpusim::Lanes<std::uint32_t> w0{}, w1{};
+                 for (int l = 0; l < 32; ++l) {
+                   w0[static_cast<std::size_t>(l)] = 4u * l;
+                   w1[static_cast<std::size_t>(l)] = 64u + 4u * l;
+                 }
+                 gpusim::Lanes<std::int32_t> data{};
+                 cta.warp(0).sts(w0, data, 0xFFFFFFFFu);
+                 cta.warp(1).sts(w1, data, 0xFFFFFFFFu);
+               };
+             });
 
-  const Verdict barrier =
-      verify::verify_kernel(broken_barrier_contract, cls, hw);
-  ASSERT_EQ(barrier.kind, VerdictKind::kRefuted);
-  EXPECT_TRUE(cls.contains(barrier.counterexample));
-
-  const Verdict race = verify::verify_kernel(broken_race_contract, cls, hw);
-  ASSERT_EQ(race.kind, VerdictKind::kRefuted);
-  EXPECT_TRUE(cls.contains(race.counterexample));
-  EXPECT_NE(race.detail.find("broken.sts"), std::string::npos)
-      << race.detail;
-}
-
-// ---- certificate store ------------------------------------------------
-
-CertEntry make_entry(const char* kernel, const char* arch,
-                     const ShapeClass& cls, VerdictKind verdict) {
-  CertEntry e;
-  e.kernel = kernel;
-  e.arch = arch;
-  e.cls = cls;
-  e.verdict = verdict;
-  e.corners_checked = 8;
-  if (verdict == VerdictKind::kRefuted) {
-    e.counterexample = {cls.m.lo, cls.k.lo, cls.n.lo, cls.v, cls.d_lo};
-    e.site = "test.site";
-    e.detail = "seeded refutation";
-  }
-  return e;
-}
-
-ShapeClass test_class(const char* name, int v = 4) {
-  ShapeClass cls;
-  cls.name = name;
-  cls.v = v;
-  cls.m = {64, 256, 64};
-  cls.k = {64, 256, 64};
-  cls.n = {64, 256, 64};
-  cls.d_lo = 0.0;
-  cls.d_hi = 1.0;
-  return cls;
-}
-
-TEST(CertStore, RoundTripsThroughJsonAndPrefersRefutedOnLookup) {
-  CertStore store;
-  store.put(make_entry("spmm_octet", "volta-v100", test_class("wide"),
-                       VerdictKind::kProved));
-  // A narrower refuted class overlapping the proved one: lookup must
-  // surface the refutation (worst verdict wins).
-  ShapeClass narrow = test_class("narrow");
-  narrow.m = {64, 64, 64};
-  store.put(make_entry("spmm_octet", "volta-v100", narrow,
-                       VerdictKind::kRefuted));
-  store.put(make_entry("spmm_octet", "turing-t4", test_class("wide"),
-                       VerdictKind::kProved));
-
-  const CertStore loaded = CertStore::from_json(store.to_json());
-  EXPECT_EQ(loaded.size(), 3u);
-
-  const CertEntry* hit =
-      loaded.lookup("spmm_octet", "volta-v100", {64, 64, 64, 4, 0.5});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->verdict, VerdictKind::kRefuted);
-  EXPECT_EQ(hit->cls.name, "narrow");
-  EXPECT_EQ(hit->counterexample.m, 64);
-
-  // Outside the narrow class only the proved cert covers.
-  const CertEntry* proved =
-      loaded.lookup("spmm_octet", "volta-v100", {128, 64, 64, 4, 0.5});
-  ASSERT_NE(proved, nullptr);
-  EXPECT_EQ(proved->verdict, VerdictKind::kProved);
-
-  // Uncovered kernel/arch/shape miss.
-  EXPECT_EQ(loaded.lookup("sddmm_octet", "volta-v100", {64, 64, 64, 4, 0.5}),
-            nullptr);
-  EXPECT_EQ(loaded.lookup("spmm_octet", "ampere-a100", {64, 64, 64, 4, 0.5}),
-            nullptr);
-  EXPECT_EQ(loaded.lookup("spmm_octet", "volta-v100", {64, 64, 64, 1, 0.5}),
-            nullptr);
-}
-
-TEST(CertStore, MalformedAndOversizedBlobsRaise) {
-  EXPECT_THROW(CertStore::from_json("{"), vsparse::Error);
-  EXPECT_THROW(CertStore::from_json("[]"), vsparse::Error);
-  EXPECT_THROW(CertStore::from_json("{\"entries\": []}"), vsparse::Error);
-  EXPECT_THROW(CertStore::from_json("{\"version\": \"vsparse-static-v0\", "
-                                    "\"entries\": []}"),
-               vsparse::Error);
-  const std::string oversized(verify::kMaxCertStoreBytes + 1, ' ');
-  EXPECT_THROW(CertStore::from_json(oversized), vsparse::Error);
-  // Trailing garbage after the object.
-  EXPECT_THROW(
-      CertStore::from_json("{\"version\": \"vsparse-static-v1\", "
-                           "\"entries\": []} x"),
-      vsparse::Error);
-}
-
-// ---- cert-gated dispatch ----------------------------------------------
-
-gpusim::DeviceConfig small_config() {
-  gpusim::DeviceConfig cfg;
-  cfg.dram_capacity = 128 << 20;
-  cfg.num_sms = 4;
-  return cfg;
-}
-
-/// A store refuting `kernel` on volta-v100 for every shape of vector
-/// width `v` (the singleton-free wide class).
-CertStore refute_kernel(const char* kernel, int v) {
-  CertStore store;
-  store.put(make_entry(kernel, "volta-v100", test_class("gate", v),
-                       VerdictKind::kRefuted));
-  return store;
-}
-
-TEST(CertGate, AutoDispatchDivertsAwayFromRefutedKernel) {
-  Rng rng(11);
-  gpusim::Device dev(small_config());
-  const Cvs a = make_cvs(64, 64, 4, 0.5, rng);
-  DenseMatrix<half_t> b(64, 64);
-  b.fill_random_int(rng);
-  DenseMatrix<half_t> c(64, 64);
-  auto da = to_device(dev, a);
-  auto db = to_device(dev, b);
-  auto dc = to_device(dev, c);
-
-  // Unconstrained auto picks octet for V=4.
-  const auto baseline = kernels::spmm(dev, da, db, dc);
-  EXPECT_NE(baseline.config.profile.name.find("octet"), std::string::npos);
-
-  // With spmm_octet refuted, auto must divert to another proved rung
-  // instead of failing.
-  const CertStore store = refute_kernel("spmm_octet", 4);
-  const auto diverted = kernels::spmm(dev, da, db, dc, {.certs = &store});
-  EXPECT_EQ(diverted.config.profile.name.find("octet"), std::string::npos)
-      << diverted.config.profile.name;
-}
-
-TEST(CertGate, ExplicitlyRequestedRefutedKernelRaisesWithCounterexample) {
-  Rng rng(12);
-  gpusim::Device dev(small_config());
-  const Cvs a = make_cvs(64, 64, 4, 0.5, rng);
-  DenseMatrix<half_t> b(64, 64);
-  b.fill_random_int(rng);
-  DenseMatrix<half_t> c(64, 64);
-  auto da = to_device(dev, a);
-  auto db = to_device(dev, b);
-  auto dc = to_device(dev, c);
-
-  const CertStore store = refute_kernel("spmm_octet", 4);
-  try {
-    kernels::spmm(dev, da, db, dc,
-                  {.algorithm = kernels::SpmmAlgorithm::kOctet,
-                   .certs = &store});
-    FAIL() << "refuted explicit dispatch did not raise";
-  } catch (const vsparse::Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kBadDispatch);
-    EXPECT_NE(std::string(e.what()).find("64"), std::string::npos)
-        << "counterexample shape missing from: " << e.what();
+  const struct {
+    const verify::Target& target;
+    const char* hazard;
+  } cases[] = {{overrun, "global_use_after_free"},
+               {slack, "global_oob"},
+               {barrier, "divergent_barrier"},
+               {race, "waw_race"}};
+  for (const auto& c : cases) {
+    const Verdict v = verify::verify_target(c.target, {cls}, hw).front();
+    ASSERT_EQ(v.kind, VerdictKind::kRefuted) << c.target.name;
+    EXPECT_TRUE(cls.contains(v.counterexample))
+        << c.target.name << ": " << v.counterexample.str();
+    EXPECT_NE(v.site.find("probe"), std::string::npos) << v.site;
+    EXPECT_NE(v.detail.find(c.hazard), std::string::npos)
+        << c.target.name << ": " << v.detail;
   }
 
-  // A proved cert for the same pair changes nothing.
-  CertStore proved;
-  proved.put(make_entry("spmm_octet", "volta-v100", test_class("gate", 4),
-                        VerdictKind::kProved));
-  const auto run = kernels::spmm(dev, da, db, dc,
-                                 {.algorithm = kernels::SpmmAlgorithm::kOctet,
-                                  .certs = &proved});
-  EXPECT_NE(run.config.profile.name.find("octet"), std::string::npos);
-}
-
-TEST(CertGate, SddmmGateMirrorsSpmm) {
-  Rng rng(13);
-  gpusim::Device dev(small_config());
-  DenseMatrix<half_t> a(64, 64);
-  a.fill_random_int(rng);
-  DenseMatrix<half_t> b(64, 64, Layout::kColMajor);
-  b.fill_random_int(rng);
-  const Cvs mask = make_cvs_mask(64, 64, 4, 0.5, rng);
-  auto da = to_device(dev, a);
-  auto db = to_device(dev, b);
-  auto dmask = to_device(dev, mask);
-  auto out = dev.alloc<half_t>(mask.col_idx.size() *
-                               static_cast<std::size_t>(mask.v));
-
-  const CertStore store = refute_kernel("sddmm_octet", 4);
-  const auto diverted =
-      kernels::sddmm(dev, da, db, dmask, out, {.certs = &store});
-  EXPECT_EQ(diverted.config.profile.name.find("octet"), std::string::npos)
-      << diverted.config.profile.name;
-  EXPECT_THROW(
-      kernels::sddmm(dev, da, db, dmask, out,
-                     {.algorithm = kernels::SddmmAlgorithm::kOctet,
-                      .certs = &store}),
-      vsparse::Error);
+  // The store renders the refutation with its counterexample.
+  const std::string json = verify::certs_json(
+      {{"broken.overrun", hw.arch, cls,
+        verify::verify_target(overrun, {cls}, hw).front()}});
+  EXPECT_NE(json.find("\"verdict\": \"refuted\", \"counterexample\": {\"m\": "
+                      "64"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

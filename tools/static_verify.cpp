@@ -1,342 +1,101 @@
-// Static launch verifier CLI — proves every registered kernel (plus
-// the dense GEMM / softmax entry points) safe over the builtin shape
-// classes, per architecture preset, and emits the vsparse-static-v1
-// certificate store plus the vsparse-lint-v1 findings.
+// Shape-class verifier CLI — certifies every registered kernel (plus
+// the dense GEMM / softmax entry points) over the builtin shape
+// classes, per architecture preset, by running each at the corners of
+// every class under all four sanitizer tools (gpusim/verify/
+// verifier.hpp), and emits the vsparse-static-v1 certificate store.
 //
-//   static_verify [--arch=all|NAME] [--out=CERTS.json] [--lint=LINT.json]
-//                 [--cross-check] [--quiet]
+//   static_verify [--arch=all|NAME] [--out=CERTS.json] [--quiet]
 //
-// --cross-check re-runs each `proved` (kernel, shape class, arch)
-// verdict dynamically: it synthesizes a concrete member shape of the
-// class, launches the real kernel on a fresh device with every
-// sanitizer tool enabled, and requires zero reports.  A kernel that
-// rejects the member shape via its own launch preconditions is
-// consistent with a proof-by-rejection and is skipped.  Any sanitizer
-// report against a proved verdict is a verifier/sanitizer disagreement.
-//
-// Exit 0: no refuted verdicts, no disagreements.  Exit 1: at least one
-// refutation or disagreement.  Exit 2: bad usage / unknown preset.
+// Exit 0: no refuted verdicts.  Exit 1: at least one refutation.
+// Exit 2: bad usage / unknown preset.
 #include <cstdio>
 #include <cstring>
-#include <algorithm>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "vsparse/common/rng.hpp"
-#include "vsparse/formats/generate.hpp"
 #include "vsparse/gpusim/arch.hpp"
-#include "vsparse/gpusim/device.hpp"
-#include "vsparse/gpusim/sanitizer/report.hpp"
 #include "vsparse/gpusim/verify/certs.hpp"
-#include "vsparse/gpusim/verify/verifier.hpp"
-#include "vsparse/kernels/dense/gemm.hpp"
-#include "vsparse/kernels/registry.hpp"
-#include "vsparse/kernels/softmax/sparse_softmax.hpp"
 
 namespace {
 
-using vsparse::gpusim::DeviceConfig;
 using namespace vsparse;
-
-struct Target {
-  std::string name;
-  kernels::ContractFn contract;
-};
-
-std::vector<Target> verification_targets() {
-  std::vector<Target> targets;
-  for (const kernels::KernelDesc& desc : kernels::kernel_registry()) {
-    targets.push_back({desc.name, desc.contract});
-  }
-  for (const verify::ExtraContract& extra : verify::extra_contracts()) {
-    if (kernels::find_kernel(extra.name) == nullptr) {
-      targets.push_back({extra.name, extra.contract});
-    }
-  }
-  return targets;
-}
-
-/// A concrete member of the class: the smallest aligned extents with
-/// the midpoint density (corner shapes are the proof obligations; the
-/// cross-check wants a *typical* member).
-verify::ShapeCorner member_shape(const verify::ShapeClass& cls) {
-  verify::ShapeCorner s;
-  s.m = cls.m.lo;
-  s.k = cls.k.lo;
-  s.n = cls.n.lo;
-  s.v = cls.v;
-  s.density = (cls.d_lo + cls.d_hi) / 2.0;
-  return s;
-}
-
-struct CrossCheck {
-  bool ran = false;  ///< false: kernel rejected the member shape
-  std::uint64_t reports = 0;
-};
-
-gpusim::Device fresh_device(const DeviceConfig& hw, gpusim::Sanitizer* sink) {
-  DeviceConfig cfg = hw;
-  cfg.dram_capacity = std::size_t{1} << 30;
-  gpusim::Device dev(cfg);
-  gpusim::SimOptions sim;
-  sim.sanitize.sink = sink;
-  dev.set_sim_options(sim);
-  return dev;
-}
-
-CrossCheck run_member(const std::string& kernel,
-                      const verify::ShapeCorner& s, const DeviceConfig& hw) {
-  CrossCheck result;
-  const double sparsity = 1.0 - s.density;
-  Rng rng(0x5eedC0DEull ^ static_cast<std::uint64_t>(s.m * 31 + s.n));
-  gpusim::Sanitizer sink;
-  try {
-    gpusim::Device dev = fresh_device(hw, &sink);
-    const kernels::KernelDesc* desc = kernels::find_kernel(kernel);
-    if (desc != nullptr && desc->op == kernels::KernelOp::kSpmm) {
-      const Cvs a_host = make_cvs(s.m, s.k, s.v, sparsity, rng);
-      CvsDevice a = to_device(dev, a_host);
-      auto b = dev.alloc<half_t>(static_cast<std::size_t>(s.k) * s.n);
-      auto c = dev.alloc<half_t>(static_cast<std::size_t>(s.m) * s.n);
-      DenseDevice<half_t> db{b, s.k, s.n, s.n, Layout::kRowMajor};
-      DenseDevice<half_t> dc{c, s.m, s.n, s.n, Layout::kRowMajor};
-      kernels::SpmmCall call{dev, a, db, dc, {}};
-      BlockedEllDevice ell_dev;
-      DenseDevice<half_t> dense_a;
-      if (desc->format == kernels::OperandFormat::kBlockedEll) {
-        ell_dev = to_device(dev, BlockedEll::from_dense(a_host.to_dense(),
-                                                        s.v));
-        call.ell = &ell_dev;
-      } else if (desc->format == kernels::OperandFormat::kDense) {
-        dense_a = to_device(dev, a_host.to_dense());
-        call.dense_a = &dense_a;
-      }
-      desc->spmm_launch(call);
-    } else if (desc != nullptr && desc->op == kernels::KernelOp::kSddmm) {
-      const Cvs mask_host = make_cvs_mask(s.m, s.n, s.v, sparsity, rng);
-      CvsDevice mask = to_device(dev, mask_host);
-      auto a = dev.alloc<half_t>(static_cast<std::size_t>(s.m) * s.k);
-      auto b = dev.alloc<half_t>(static_cast<std::size_t>(s.k) * s.n);
-      auto out = dev.alloc<half_t>(
-          std::max<std::size_t>(1, mask_host.values.size()));
-      DenseDevice<half_t> da{a, s.m, s.k, s.k, Layout::kRowMajor};
-      DenseDevice<half_t> db{b, s.k, s.n, s.k, Layout::kColMajor};
-      desc->sddmm_launch(kernels::SddmmCall{dev, da, db, mask, out, {}});
-    } else if (kernel == "hgemm_tcu") {
-      auto a = dev.alloc<half_t>(static_cast<std::size_t>(s.m) * s.k);
-      auto b = dev.alloc<half_t>(static_cast<std::size_t>(s.k) * s.n);
-      auto c = dev.alloc<half_t>(static_cast<std::size_t>(s.m) * s.n);
-      DenseDevice<half_t> da{a, s.m, s.k, s.k, Layout::kRowMajor};
-      DenseDevice<half_t> db{b, s.k, s.n, s.n, Layout::kRowMajor};
-      DenseDevice<half_t> dc{c, s.m, s.n, s.n, Layout::kRowMajor};
-      kernels::hgemm_tcu(dev, da, db, dc);
-    } else if (kernel == "sgemm_fpu") {
-      auto a = dev.alloc<float>(static_cast<std::size_t>(s.m) * s.k);
-      auto b = dev.alloc<float>(static_cast<std::size_t>(s.k) * s.n);
-      auto c = dev.alloc<float>(static_cast<std::size_t>(s.m) * s.n);
-      DenseDevice<float> da{a, s.m, s.k, s.k, Layout::kRowMajor};
-      DenseDevice<float> db{b, s.k, s.n, s.n, Layout::kRowMajor};
-      DenseDevice<float> dc{c, s.m, s.n, s.n, Layout::kRowMajor};
-      kernels::sgemm_fpu(dev, da, db, dc);
-    } else if (kernel == "sparse_softmax") {
-      const Cvs mask_host = make_cvs_mask(s.m, s.n, s.v, sparsity, rng);
-      CvsDevice pattern = to_device(dev, mask_host);
-      auto in = dev.alloc<half_t>(
-          std::max<std::size_t>(1, mask_host.values.size()));
-      auto out = dev.alloc<half_t>(
-          std::max<std::size_t>(1, mask_host.values.size()));
-      kernels::sparse_softmax(dev, pattern, in, out, 1.0f);
-    } else if (kernel == "dense_softmax") {
-      auto buf = dev.alloc<half_t>(static_cast<std::size_t>(s.m) * s.n);
-      DenseDevice<half_t> mat{buf, s.m, s.n, s.n, Layout::kRowMajor};
-      kernels::dense_softmax(dev, mat, 1.0f);
-    } else {
-      return result;  // nothing to run — treated as skipped
-    }
-    result.ran = true;
-    result.reports = sink.num_reports();
-  } catch (const CheckError&) {
-    // Launch precondition rejected the member shape — consistent with
-    // a proof whose corners were all safe-by-rejection.
-    result.ran = false;
-  }
-  return result;
-}
-
-struct LintRecord {
-  std::string kernel;
-  verify::LintFinding finding;
-};
-
-void write_lint_json(const std::string& path,
-                     std::vector<LintRecord> records) {
-  std::sort(records.begin(), records.end(),
-            [](const LintRecord& a, const LintRecord& b) {
-              if (a.kernel != b.kernel) return a.kernel < b.kernel;
-              if (a.finding.rule != b.finding.rule) {
-                return a.finding.rule < b.finding.rule;
-              }
-              return a.finding.site < b.finding.site;
-            });
-  records.erase(std::unique(records.begin(), records.end(),
-                            [](const LintRecord& a, const LintRecord& b) {
-                              return a.kernel == b.kernel &&
-                                     a.finding.rule == b.finding.rule &&
-                                     a.finding.site == b.finding.site;
-                            }),
-                records.end());
-  auto escape = [](const std::string& s) {
-    std::string out;
-    for (char ch : s) {
-      if (ch == '"' || ch == '\\') out += '\\';
-      out += ch;
-    }
-    return out;
-  };
-  std::ofstream out(path, std::ios::binary);
-  out << "{\n  \"schema\": \"vsparse-lint-v1\",\n  \"findings\": [";
-  bool first = true;
-  for (const LintRecord& rec : records) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"kernel\": \"" << escape(rec.kernel) << "\", \"rule\": \""
-        << escape(rec.finding.rule) << "\", \"site\": \""
-        << escape(rec.finding.site) << "\", \"detail\": \""
-        << escape(rec.finding.detail) << "\"}";
-  }
-  out << (first ? "]\n}\n" : "\n  ]\n}\n");
-}
 
 int run(int argc, char** argv) {
   std::string arch_spec = "all";
-  std::string out_path, lint_path;
-  bool cross_check = false, quiet = false;
+  std::string out_path;
+  bool quiet = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--arch=", 7) == 0) {
       arch_spec = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--lint=", 7) == 0) {
-      lint_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--cross-check") == 0) {
-      cross_check = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
       std::fprintf(stderr,
                    "static_verify: unknown flag %s\n"
                    "usage: static_verify [--arch=all|NAME] [--out=FILE] "
-                   "[--lint=FILE] [--cross-check] [--quiet]\n",
+                   "[--quiet]\n",
                    argv[i]);
       return 2;
     }
   }
 
-  std::vector<std::string> arches;
+  std::vector<gpusim::DeviceConfig> archs;
   if (arch_spec == "all") {
     for (const gpusim::ArchPreset& preset : gpusim::arch_presets()) {
-      arches.push_back(preset.name);
+      archs.push_back(preset.make());
     }
   } else {
-    if (gpusim::find_arch_preset(arch_spec) == nullptr) {
+    const gpusim::ArchPreset* preset = gpusim::find_arch_preset(arch_spec);
+    if (preset == nullptr) {
       std::fprintf(stderr, "static_verify: unknown preset \"%s\" (%s)\n",
                    arch_spec.c_str(), gpusim::arch_preset_names().c_str());
       return 2;
     }
-    arches.push_back(arch_spec);
+    archs.push_back(preset->make());
   }
 
-  const std::vector<Target> targets = verification_targets();
-  const std::vector<verify::ShapeClass> classes =
-      verify::builtin_shape_classes();
+  const std::vector<verify::CertEntry> entries =
+      verify::certify(verify::verification_targets(),
+                      verify::builtin_shape_classes(), archs);
 
-  verify::CertStore store;
-  std::vector<LintRecord> lint_records;
   int proved = 0, refuted = 0, unknown = 0;
-  int disagreements = 0, checked = 0;
-
-  for (const std::string& arch : arches) {
-    const DeviceConfig hw = DeviceConfig::preset(arch);
-    for (const Target& target : targets) {
-      for (const verify::ShapeClass& cls : classes) {
-        std::vector<verify::LintFinding> lints;
-        const verify::Verdict verdict =
-            verify::verify_kernel(target.contract, cls, hw, &lints);
-        for (verify::LintFinding& f : lints) {
-          lint_records.push_back({target.name, std::move(f)});
+  for (const verify::CertEntry& entry : entries) {
+    const verify::Verdict& v = entry.verdict;
+    switch (v.kind) {
+      case verify::VerdictKind::kProved:
+        ++proved;
+        break;
+      case verify::VerdictKind::kRefuted:
+        ++refuted;
+        std::fprintf(stderr,
+                     "static_verify: REFUTED %s over %s on %s at %s: %s "
+                     "(counterexample %s)\n",
+                     entry.kernel.c_str(), entry.cls.name.c_str(),
+                     entry.arch.c_str(), v.site.c_str(), v.detail.c_str(),
+                     v.counterexample.str().c_str());
+        break;
+      case verify::VerdictKind::kUnknown:
+        ++unknown;
+        if (!quiet) {
+          std::printf("static_verify: unknown %s over %s on %s (%s)\n",
+                      entry.kernel.c_str(), entry.cls.name.c_str(),
+                      entry.arch.c_str(), v.detail.c_str());
         }
-        verify::CertEntry entry;
-        entry.kernel = target.name;
-        entry.arch = arch;
-        entry.cls = cls;
-        entry.verdict = verdict.kind;
-        entry.counterexample = verdict.counterexample;
-        entry.site = verdict.site;
-        entry.detail = verdict.detail;
-        entry.corners_checked = verdict.corners_checked;
-        entry.corners_rejected = verdict.corners_rejected;
-        store.put(std::move(entry));
-        switch (verdict.kind) {
-          case verify::VerdictKind::kProved:
-            ++proved;
-            break;
-          case verify::VerdictKind::kRefuted:
-            ++refuted;
-            std::fprintf(stderr,
-                         "static_verify: REFUTED %s over %s on %s at %s: "
-                         "%s (counterexample %s)\n",
-                         target.name.c_str(), cls.name.c_str(), arch.c_str(),
-                         verdict.site.c_str(), verdict.detail.c_str(),
-                         verdict.counterexample.str().c_str());
-            break;
-          case verify::VerdictKind::kUnknown:
-            ++unknown;
-            if (!quiet) {
-              std::printf("static_verify: unknown %s over %s on %s (%s)\n",
-                          target.name.c_str(), cls.name.c_str(), arch.c_str(),
-                          verdict.detail.c_str());
-            }
-            break;
-        }
-        if (cross_check && verdict.kind == verify::VerdictKind::kProved &&
-            verdict.corners_rejected < verdict.corners_checked) {
-          const verify::ShapeCorner member = member_shape(cls);
-          const CrossCheck cc = run_member(target.name, member, hw);
-          if (cc.ran) {
-            ++checked;
-            if (cc.reports != 0) {
-              ++disagreements;
-              std::fprintf(
-                  stderr,
-                  "static_verify: DISAGREEMENT %s over %s on %s: proved "
-                  "statically but %llu dynamic sanitizer report(s) on "
-                  "member %s\n",
-                  target.name.c_str(), cls.name.c_str(), arch.c_str(),
-                  static_cast<unsigned long long>(cc.reports),
-                  member.str().c_str());
-            }
-          }
-        }
-      }
+        break;
     }
   }
 
-  if (!out_path.empty()) store.save(out_path);
-  if (!lint_path.empty()) write_lint_json(lint_path, std::move(lint_records));
+  if (!out_path.empty()) verify::save_certs(out_path, entries);
 
   if (!quiet) {
     std::printf(
         "static_verify: %d proved, %d refuted, %d unknown across %zu "
-        "preset(s)",
-        proved, refuted, unknown, arches.size());
-    if (cross_check) {
-      std::printf("; cross-checked %d member shape(s), %d disagreement(s)",
-                  checked, disagreements);
-    }
-    std::printf("\n");
+        "preset(s)\n",
+        proved, refuted, unknown, archs.size());
   }
-  return (refuted == 0 && disagreements == 0) ? 0 : 1;
+  return refuted == 0 ? 0 : 1;
 }
 
 }  // namespace

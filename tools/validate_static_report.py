@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
-"""Validate the static verifier's exports.
+"""Validate the shape-class verifier's certificate store.
 
-Usage: validate_static_report.py CERTS.json [--lint=LINT.json]
-       [--expect-no-refuted] [--expect-arch=A,B] [--expect-kernels=N]
-       [--expect-classes=N]
+Usage: validate_static_report.py CERTS.json [--expect-no-refuted]
+       [--expect-arch=A,B] [--expect-kernels=N] [--expect-classes=N]
 
 Checks the vsparse-static-v1 certificate store the static_verify tool
 writes (version tag, entry schema, shape-class well-formedness, verdict
 enum, counterexample presence/membership on refuted entries, corner
-accounting, (kernel, arch, class) uniqueness, size caps matching the
-C++ loader) and, with --lint, the vsparse-lint-v1 findings file (known
-rule names, non-empty sites, per-kernel dedup).  --expect-no-refuted is
-the CI gate: every shipped kernel must be proved (or safe-by-rejection)
-on every preset.  --expect-arch requires coverage of the named presets;
---expect-kernels / --expect-classes put a floor on how much of the
-registry the store covers, so a silently shrunk verification sweep
-fails loudly instead of green.  Stdlib only — runs anywhere CI has a
+accounting, (kernel, arch, class) uniqueness, size caps).
+--expect-no-refuted is the CI gate: every shipped kernel must be proved
+(or safe-by-rejection) on every preset.  --expect-arch requires
+coverage of the named presets; --expect-kernels / --expect-classes put
+a floor on how much of the registry the store covers, so a silently
+shrunk verification sweep fails loudly instead of green.  Stdlib only — runs anywhere CI has a
 python3.
 """
 import sys
@@ -24,12 +21,8 @@ from vsparse_validate import check, check_schema, errors, is_number, \
     is_uint, load_json, report_errors
 
 VERSION = "vsparse-static-v1"
-LINT_SCHEMA = "vsparse-lint-v1"
 VERDICTS = {"proved", "refuted", "unknown"}
-LINT_RULES = {"per-lane-span", "slack-dependent-tail", "span-self-divert",
-              "descriptor-invalid"}
-# Mirror the loader caps in gpusim/verify/certs.hpp: a store the
-# validator passes must also load in-process.
+# Sanity caps on the store's size.
 MAX_ENTRIES = 65536
 MAX_STRING = 512
 
@@ -175,33 +168,8 @@ def validate_certs(doc, expect):
     return len(entries), len(refuted)
 
 
-def validate_lint(doc):
-    check_schema(doc, LINT_SCHEMA)
-    findings = doc.get("findings")
-    if not check(isinstance(findings, list), "lint findings must be a list"):
-        return 0
-    seen = set()
-    for i, f in enumerate(findings):
-        where = f"findings[{i}]"
-        if not check(isinstance(f, dict), f"{where} is not an object"):
-            continue
-        check(isinstance(f.get("kernel"), str) and f.get("kernel"),
-              f"{where}.kernel missing")
-        check(f.get("rule") in LINT_RULES,
-              f"{where}.rule {f.get('rule')!r} unknown "
-              f"(want one of {sorted(LINT_RULES)})")
-        check(isinstance(f.get("site"), str) and f.get("site"),
-              f"{where}.site missing")
-        check(isinstance(f.get("detail"), str), f"{where}.detail missing")
-        key = (f.get("kernel"), f.get("rule"), f.get("site"))
-        check(key not in seen, f"{where}: duplicate finding {key}")
-        seen.add(key)
-    return len(findings)
-
-
 def main(argv):
     path = None
-    lint_path = None
     expect = {"no_refuted": False, "arches": [], "kernels": 0, "classes": 0}
     for arg in argv[1:]:
         if arg == "--expect-no-refuted":
@@ -213,8 +181,6 @@ def main(argv):
             expect["kernels"] = int(arg.split("=", 1)[1])
         elif arg.startswith("--expect-classes="):
             expect["classes"] = int(arg.split("=", 1)[1])
-        elif arg.startswith("--lint="):
-            lint_path = arg.split("=", 1)[1]
         elif path is None:
             path = arg
         else:
@@ -224,24 +190,17 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
 
-    n_entries = n_refuted = n_lint = 0
+    n_entries = n_refuted = 0
     doc = load_json(path)
     if doc is not None and check(isinstance(doc, dict),
                                  "top level is not an object"):
         result = validate_certs(doc, expect)
         if result is not None:
             n_entries, n_refuted = result
-    if lint_path is not None:
-        lint_doc = load_json(lint_path)
-        if lint_doc is not None and check(isinstance(lint_doc, dict),
-                                          "lint top level is not an object"):
-            n_lint = validate_lint(lint_doc)
 
     if errors():
         return report_errors(prefix="validate_static_report: ")
-    lint_note = f", {n_lint} lint finding(s)" if lint_path else ""
-    print(f"OK: {path}: {n_entries} certificates, {n_refuted} refuted"
-          f"{lint_note}")
+    print(f"OK: {path}: {n_entries} certificates, {n_refuted} refuted")
     return 0
 
 
