@@ -17,7 +17,6 @@ namespace {
 int run(int argc, char** argv) {
   const Scale scale = parse_scale(argc, argv);
   DriverSession session(argc, argv);
-  const gpusim::SimOptions& sim = session.sim();
   const int m = scale == Scale::kPaper ? 2048 : 1024;
   const int k = scale == Scale::kPaper ? 1024 : 512;
   const int n = 256;

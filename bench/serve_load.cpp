@@ -267,15 +267,13 @@ int run(int argc, char** argv) {
   std::printf(
       "# load-health: {\"goodput_per_mtick\":%.3f,\"final_tick\":%llu,"
       "\"quarantines\":%llu,\"half_opens\":%llu,\"restores\":%llu,"
-      "\"reopens\":%llu,\"policy_cache_rejections\":%llu,"
-      "\"mismatches\":%llu,\"counter_mismatches\":%llu}\n",
+      "\"reopens\":%llu,\"mismatches\":%llu,\"counter_mismatches\":%llu}\n",
       result.goodput_per_mtick,
       static_cast<unsigned long long>(result.final_tick),
       static_cast<unsigned long long>(result.health.quarantines),
       static_cast<unsigned long long>(result.health.half_opens),
       static_cast<unsigned long long>(result.health.restores),
       static_cast<unsigned long long>(result.health.reopens),
-      static_cast<unsigned long long>(result.policy_cache_rejections),
       static_cast<unsigned long long>(result.mismatches),
       static_cast<unsigned long long>(result.counter_mismatches));
   if (config.devices > 1 || config.device_chaos || !config.drains.empty()) {

@@ -19,7 +19,6 @@ namespace {
 int run(int argc, char** argv) {
   const Scale scale = parse_scale(argc, argv);
   DriverSession session(argc, argv);
-  const gpusim::SimOptions& sim = session.sim();
   using transformer::Mode;
   transformer::ModelConfig cfg;
   cfg.seq = scale == Scale::kPaper ? 4096 : 1024;

@@ -2,10 +2,10 @@
 //
 // The paper evaluates one platform (Volta V100, HMMA.884); "which
 // tensor-core kernel wins" is a function of the MMA shape and the
-// cache/bandwidth ratios, so cross-architecture studies and the
-// dispatch policy cache need architectures as first-class, *named*
-// points rather than ad-hoc hand-edited DeviceConfigs.  Every entry
-// carries a stable name (the policy-cache key), a one-line summary for
+// cache/bandwidth ratios, so cross-architecture studies need
+// architectures as first-class, *named* points rather than ad-hoc
+// hand-edited DeviceConfigs.  Every entry carries a stable name (the
+// `--arch` value and the certificate key), a one-line summary for
 // CLIs, and a factory returning the full DeviceConfig.
 //
 // The table ships four points:

@@ -24,9 +24,8 @@ namespace vsparse::gpusim {
 /// octet mappings are built on; Turing/Ampere expose the wider
 /// mma.m16n8k8 / m16n8k16 PTX shapes.  The functional kernels always
 /// decompose into 884 steps (Ampere emulates them), so this field is
-/// dispatch-policy metadata: which kernel mapping wins flips with the
-/// shape (the paper's Fig. 15 HMMA-SWITCH study), and the policy cache
-/// keys per architecture.
+/// architecture metadata: which kernel mapping wins flips with the
+/// shape (the paper's Fig. 15 HMMA-SWITCH study).
 struct MmaShape {
   int m = 8;
   int n = 8;
@@ -35,9 +34,9 @@ struct MmaShape {
 
 struct DeviceConfig {
   // --- architecture identity ------------------------------------------
-  /// Stable preset name ("volta-v100", ...).  Keys autotuned dispatch
-  /// policies per architecture; hand-modified configs keep the name of
-  /// the preset they started from.
+  /// Stable preset name ("volta-v100", ...): drivers print it and
+  /// shape-class certificates key on it; hand-modified configs keep the
+  /// name of the preset they started from.
   const char* arch = "volta-v100";
   MmaShape mma;  ///< native tensor-core step shape (see above)
   /// The Fig. 15 HMMA...SWITCH proposal: the TCU swaps operand buses on

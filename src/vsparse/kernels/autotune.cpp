@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "vsparse/common/rng.hpp"
-#include "vsparse/formats/generate.hpp"
 #include "vsparse/gpusim/device.hpp"
-#include "vsparse/kernels/registry.hpp"
 
 namespace vsparse::kernels {
 
@@ -76,117 +72,6 @@ TuneResult<SpmmFpuParams> autotune_spmm_fpu(
   }
   finalize(result);
   return result;
-}
-
-namespace {
-
-/// Deterministic per-problem seed: the sweep must not depend on axis
-/// iteration order, so each class hashes its own coordinates.
-std::uint64_t class_seed(std::uint64_t base, int m, int k, int n, int v,
-                        double sparsity) {
-  std::uint64_t h = base;
-  for (std::uint64_t x :
-       {static_cast<std::uint64_t>(m), static_cast<std::uint64_t>(k),
-        static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(v),
-        static_cast<std::uint64_t>(sparsity * 1e6)}) {
-    h ^= x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-gpusim::Device fresh_tune_device(const gpusim::DeviceConfig& hw) {
-  gpusim::DeviceConfig cfg = hw;
-  cfg.dram_capacity = std::size_t{1} << 30;
-  return gpusim::Device(cfg);
-}
-
-void tune_spmm_class(PolicyCache& cache, const gpusim::DeviceConfig& hw,
-                     std::uint64_t seed, int m, int k, int n, int v,
-                     double sparsity) {
-  Rng rng(class_seed(seed, m, k, n, v, sparsity));
-  const Cvs a_host = make_cvs(m, k, v, sparsity, rng);
-  const DispatchShape shape{m, k, n, v, 1.0 - a_host.sparsity()};
-  const KernelDesc* best = nullptr;
-  double best_cycles = std::numeric_limits<double>::infinity();
-  for (const KernelDesc& desc : kernel_registry()) {
-    if (desc.op != KernelOp::kSpmm || !desc.dispatchable()) continue;
-    if (!desc.supports_v(v) || !desc.eligible(shape)) continue;
-    gpusim::Device dev = fresh_tune_device(hw);
-    CvsDevice a = to_device(dev, a_host);
-    auto b = dev.alloc<half_t>(static_cast<std::size_t>(k) * n);
-    auto c = dev.alloc<half_t>(static_cast<std::size_t>(m) * n);
-    DenseDevice<half_t> db{b, k, n, n, Layout::kRowMajor};
-    DenseDevice<half_t> dc{c, m, n, n, Layout::kRowMajor};
-    const double cycles =
-        desc.spmm_launch(SpmmCall{dev, a, db, dc, {}}).cycles(hw);
-    if (cycles < best_cycles) {
-      best_cycles = cycles;
-      best = &desc;
-    }
-  }
-  if (best != nullptr) {
-    cache.insert(KernelOp::kSpmm, hw.arch, shape, best->name, best_cycles);
-  }
-}
-
-void tune_sddmm_class(PolicyCache& cache, const gpusim::DeviceConfig& hw,
-                      std::uint64_t seed, int m, int k, int n, int v,
-                      double sparsity) {
-  Rng rng(class_seed(seed, m, k, n, v, sparsity) ^ 0xdd);
-  const Cvs mask_host = make_cvs_mask(m, n, v, sparsity, rng);
-  const DispatchShape shape{m, k, n, v,
-                            1.0 - mask_host.sparsity()};
-  const KernelDesc* best = nullptr;
-  double best_cycles = std::numeric_limits<double>::infinity();
-  for (const KernelDesc& desc : kernel_registry()) {
-    if (desc.op != KernelOp::kSddmm || !desc.dispatchable()) continue;
-    if (!desc.supports_v(v) || !desc.eligible(shape)) continue;
-    gpusim::Device dev = fresh_tune_device(hw);
-    CvsDevice mask = to_device(dev, mask_host);
-    auto a = dev.alloc<half_t>(static_cast<std::size_t>(m) * k);
-    auto b = dev.alloc<half_t>(static_cast<std::size_t>(k) * n);
-    auto out = dev.alloc<half_t>(mask_host.values.size());
-    DenseDevice<half_t> da{a, m, k, k, Layout::kRowMajor};
-    DenseDevice<half_t> db{b, k, n, k, Layout::kColMajor};
-    const double cycles =
-        desc.sddmm_launch(SddmmCall{dev, da, db, mask, out, {}}).cycles(hw);
-    if (cycles < best_cycles) {
-      best_cycles = cycles;
-      best = &desc;
-    }
-  }
-  if (best != nullptr) {
-    cache.insert(KernelOp::kSddmm, hw.arch, shape, best->name, best_cycles);
-  }
-}
-
-}  // namespace
-
-PolicyTuneSpec default_policy_tune_spec() { return PolicyTuneSpec{}; }
-
-PolicyCache autotune_policy(const PolicyTuneSpec& spec) {
-  PolicyCache cache;
-  for (const std::string& arch : spec.arches) {
-    const gpusim::DeviceConfig hw = gpusim::DeviceConfig::preset(arch);
-    for (int m : spec.ms) {
-      for (int k : spec.ks) {
-        for (int n : spec.ns) {
-          for (int v : spec.vs) {
-            for (double sparsity : spec.sparsities) {
-              if (m % v != 0) continue;
-              if (spec.tune_spmm) {
-                tune_spmm_class(cache, hw, spec.seed, m, k, n, v, sparsity);
-              }
-              if (spec.tune_sddmm) {
-                tune_sddmm_class(cache, hw, spec.seed, m, k, n, v, sparsity);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return cache;
 }
 
 }  // namespace vsparse::kernels

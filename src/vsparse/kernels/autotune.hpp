@@ -6,21 +6,14 @@
 // on the given problems, score by geometric-mean model cycles, return
 // the winner.  Works for the octet SpMM (TileK, batching) and the FPU
 // SpMM (TileN, TileK).
-//
-// The same machinery extends to *dispatch* tuning: autotune_policy
-// sweeps every dispatchable kernel in the registry over a grid of
-// shape classes per architecture preset and returns the winners as a
-// PolicyCache (kernels/policy.hpp) for kAuto to consult.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "vsparse/formats/cvs.hpp"
 #include "vsparse/formats/dense.hpp"
 #include "vsparse/gpusim/config.hpp"
-#include "vsparse/kernels/policy.hpp"
 #include "vsparse/kernels/spmm/spmm_fpu.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
 
@@ -49,32 +42,5 @@ TuneResult<SpmmOctetParams> autotune_spmm_octet(
 TuneResult<SpmmFpuParams> autotune_spmm_fpu(
     const std::vector<TuneProblem>& problems,
     const gpusim::DeviceConfig& hw = gpusim::DeviceConfig::volta_v100());
-
-/// The dispatch-policy sweep grid: shape classes = the cross product of
-/// the axes below, swept once per architecture preset.  Defaults are a
-/// small representative slice of the paper's benchmark grid — enough
-/// for the cache to disagree with the static heuristic where it should
-/// (skinny N, V = 1, near-dense panels) while staying CI-fast.
-struct PolicyTuneSpec {
-  std::vector<std::string> arches{"volta-v100"};
-  std::vector<int> ms{1024};
-  std::vector<int> ks{1024};
-  std::vector<int> ns{64, 256};
-  std::vector<int> vs{1, 2, 8};
-  std::vector<double> sparsities{0.70, 0.95};
-  bool tune_spmm = true;
-  bool tune_sddmm = true;
-  std::uint64_t seed = 0x5eedu;
-};
-
-/// The pinned grid CI's policy-autotune job runs (tools/
-/// validate_policy_cache.py checks the result).
-PolicyTuneSpec default_policy_tune_spec();
-
-/// Offline dispatch tuning: for every (arch, shape class) in the spec,
-/// run each dispatchable, eligible registry kernel on a synthetic
-/// problem of that class (fresh device per run), score by model
-/// cycles on the preset's DeviceConfig, and record the winner.
-PolicyCache autotune_policy(const PolicyTuneSpec& spec);
 
 }  // namespace vsparse::kernels

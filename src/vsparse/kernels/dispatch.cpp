@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "vsparse/gpusim/device.hpp"
-#include "vsparse/kernels/policy.hpp"
-#include "vsparse/serve/supervisor.hpp"
 
 namespace vsparse::kernels {
 
@@ -32,9 +30,6 @@ DispatchShape sddmm_dispatch_shape(const DenseDevice<half_t>& a,
 KernelRun spmm(gpusim::Device& dev, const CvsDevice& a,
                const DenseDevice<half_t>& b, DenseDevice<half_t>& c,
                const SpmmOptions& options) {
-  if (options.serve != nullptr) {
-    return serve::supervised_spmm(dev, a, b, c, options);
-  }
   SpmmAlgorithm algo = options.algorithm;
   if (options.abft.has_value()) {
     if (algo == SpmmAlgorithm::kAuto) {
@@ -52,14 +47,7 @@ KernelRun spmm(gpusim::Device& dev, const CvsDevice& a,
         SpmmCall{dev, a, b, c, options.sim, &abft});
   }
   if (algo == SpmmAlgorithm::kAuto) {
-    const DispatchShape shape = spmm_dispatch_shape(a, b);
-    const KernelDesc* cached =
-        options.policy != nullptr
-            ? options.policy->lookup(KernelOp::kSpmm, dev.config().arch,
-                                     shape)
-            : nullptr;
-    algo = cached != nullptr ? static_cast<SpmmAlgorithm>(cached->algorithm)
-                             : resolve_auto_spmm(shape);
+    algo = resolve_auto_spmm(spmm_dispatch_shape(a, b));
   }
   return kernel_for(algo).spmm_launch(SpmmCall{dev, a, b, c, options.sim});
 }
@@ -72,19 +60,9 @@ KernelRun sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
                       "kernels.dispatch",
                       "no SDDMM kernel has an ABFT variant yet; "
                       "SddmmOptions::abft must stay unset");
-  if (options.serve != nullptr) {
-    return serve::supervised_sddmm(dev, a, b, mask, out_values, options);
-  }
   SddmmAlgorithm algo = options.algorithm;
   if (algo == SddmmAlgorithm::kAuto) {
-    const DispatchShape shape = sddmm_dispatch_shape(a, mask);
-    const KernelDesc* cached =
-        options.policy != nullptr
-            ? options.policy->lookup(KernelOp::kSddmm, dev.config().arch,
-                                     shape)
-            : nullptr;
-    algo = cached != nullptr ? static_cast<SddmmAlgorithm>(cached->algorithm)
-                             : resolve_auto_sddmm(shape);
+    algo = resolve_auto_sddmm(sddmm_dispatch_shape(a, mask));
   }
   return kernel_for(algo).sddmm_launch(
       SddmmCall{dev, a, b, mask, out_values, options.sim});

@@ -8,26 +8,25 @@
 //   sddmm(dev, a, b, mask, out, {.sim = {.threads = 4}});
 //
 // One descriptor struct per operation bundles everything a call can
-// vary — algorithm, optional ABFT fault tolerance, the engine's
-// SimOptions (threads, watchdog, per-SM stats, tracing), serving
-// supervision, and an optional autotuned policy cache — so adding a
+// vary — algorithm, optional ABFT fault tolerance, and the engine's
+// SimOptions (threads, watchdog, per-SM stats, tracing) — so adding a
 // knob never multiplies the overload set again.
 //
-// Selection policy (documented, overridable):
+// Selection rule (documented, overridable), resolve_auto_spmm /
+// resolve_auto_sddmm in kernels/registry.hpp:
 //   * V in {2,4,8}  -> TCU-based 1-D Octet Tiling (the paper's kernel)
 //   * V == 1        -> FPU 1-D subwarp tiling (Sputnik semantics; the
 //                      TCU mappings need at least 2-wide vectors)
-//   * policy cache  -> with SpmmOptions::policy attached, kAuto first
-//                      probes the autotuned per-architecture cache
-//                      (kernels/policy.hpp) and falls back to the rule
-//                      above on miss
 //   * Algorithm::k* -> force a specific implementation (for studies)
 //
-// The algorithm enums and the kernel metadata behind every branch live
-// in kernels/registry.hpp; this header stays the stable entry-point
-// surface.  All entry points return the KernelRun (counters + launch
-// shape) so callers keep full observability; the host round trips
-// return a HostRun carrying the downloaded result *and* the KernelRun.
+// Supervised execution (retries, the degradation ladder, admission)
+// lives one layer up, in serve::Supervisor, which resolves kAuto by
+// the same rule.  The algorithm enums and the kernel metadata behind
+// every branch live in kernels/registry.hpp; this header stays the
+// stable entry-point surface.  All entry points return the KernelRun
+// (counters + launch shape) so callers keep full observability; the
+// host round trips return a HostRun carrying the downloaded result
+// *and* the KernelRun.
 #pragma once
 
 #include <optional>
@@ -37,14 +36,7 @@
 #include "vsparse/kernels/api.hpp"
 #include "vsparse/kernels/registry.hpp"
 
-namespace vsparse::serve {
-struct ServePolicy;
-struct ServeReport;
-}  // namespace vsparse::serve
-
 namespace vsparse::kernels {
-
-class PolicyCache;
 
 /// Everything one spmm() call can vary.
 struct SpmmOptions {
@@ -59,24 +51,6 @@ struct SpmmOptions {
 
   /// Engine options: threads, watchdog, per-SM stats, tracing.
   gpusim::SimOptions sim;
-
-  /// Opt-in serving supervision (serve/supervisor.hpp): with a policy
-  /// attached, the launch runs inside the fault boundary — bounded
-  /// retries with deterministic backoff for retryable faults, then the
-  /// degradation ladder.  Null (the default) is the zero-overhead fast
-  /// path: dispatch is bit- and counter-identical to a build without
-  /// the serving layer.  The policy must outlive the call.
-  const serve::ServePolicy* serve = nullptr;
-  /// Out-param (like SimOptions::per_sm_stats): when set together with
-  /// `serve`, receives the attempt-by-attempt ServeReport.
-  serve::ServeReport* serve_report = nullptr;
-
-  /// Opt-in autotuned dispatch policy (kernels/policy.hpp): consulted
-  /// only when `algorithm` is kAuto and no ABFT is requested.  Null
-  /// (the default) or a cache miss reproduces the static heuristic
-  /// exactly — same off-by-default contract as `serve`.  The cache
-  /// must outlive the call.
-  const PolicyCache* policy = nullptr;
 };
 
 /// Everything one sddmm() call can vary.  `abft` is reserved: no SDDMM
@@ -86,17 +60,10 @@ struct SddmmOptions {
   SddmmAlgorithm algorithm = SddmmAlgorithm::kAuto;
   std::optional<AbftOptions> abft;
   gpusim::SimOptions sim;
-
-  /// Serving supervision, as in SpmmOptions.
-  const serve::ServePolicy* serve = nullptr;
-  serve::ServeReport* serve_report = nullptr;
-
-  /// Autotuned dispatch policy, as in SpmmOptions.
-  const PolicyCache* policy = nullptr;
 };
 
-/// The DispatchShape (registry/policy key) of one SpMM call's operands
-/// — O(1) host-side metadata only.
+/// The DispatchShape kAuto and the serving ladder resolve against for
+/// one SpMM call's operands — O(1) host-side metadata only.
 DispatchShape spmm_dispatch_shape(const CvsDevice& a,
                                   const DenseDevice<half_t>& b);
 

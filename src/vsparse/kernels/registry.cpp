@@ -109,10 +109,6 @@ KernelRun run_sddmm_csr_fine(const SddmmCall& c) {
 
 }  // namespace
 
-const char* kernel_op_name(KernelOp op) {
-  return op == KernelOp::kSpmm ? "spmm" : "sddmm";
-}
-
 const std::vector<KernelDesc>& kernel_registry() {
   // Ladder ranks mirror the pre-registry Supervisor: the octet desc's
   // rung runs *with* ABFT (plain octet re-runs are what retries already
@@ -161,13 +157,6 @@ const std::vector<KernelDesc>& kernel_registry() {
        &run_sddmm_csr_fine},
   };
   return kTable;
-}
-
-const KernelDesc* find_kernel(std::string_view name) {
-  for (const KernelDesc& desc : kernel_registry()) {
-    if (name == desc.name) return &desc;
-  }
-  return nullptr;
 }
 
 const KernelDesc* find_kernel(KernelOp op, int algorithm) {

@@ -2,21 +2,19 @@
 // describes itself, and the single source of dispatch policy.
 //
 // Before this layer, "which kernels exist and when do they apply" was
-// written down three times: the enum switches in kernels/dispatch.cpp,
+// written down twice: the enum switches in kernels/dispatch.cpp and
 // the Supervisor's hard-coded degradation ladder + eligibility
-// predicates in serve/supervisor.cpp, and the two-kernel sweep in
-// kernels/autotune.cpp.  Each implementation now registers one
-// KernelDesc — stable name, op, supported vector granularities,
-// operand format, ABFT-variant availability, degradation-ladder rank,
-// eligibility predicate, and a type-erased launch thunk — and all
-// three consumers became queries:
+// predicates in serve/supervisor.cpp.  Each implementation now
+// registers one KernelDesc — stable name, op, supported vector
+// granularities, operand format, ABFT-variant availability,
+// degradation-ladder rank, eligibility predicate, and a type-erased
+// launch thunk — and both consumers became queries:
 //
-//   dispatch   kernel_for(algorithm) -> desc, desc->spmm_launch(call)
-//   serve      ladder(op, shape) = registry in ladder-rank order,
-//              filtered by eligibility (serve/supervisor.cpp)
-//   autotune   the full palette: every desc with a dispatchable
-//              algorithm, swept per shape class and architecture
-//              preset (kernels/policy.hpp)
+//   dispatch   kAuto -> resolve_auto_*(shape), the one selection rule;
+//              kernel_for(algorithm) -> desc, desc->spmm_launch(call)
+//   serve      the same rule picks the entry rung; ladder(op, shape) =
+//              registry in ladder-rank order, filtered by eligibility
+//              (serve/supervisor.cpp)
 //
 // Completeness is enforced the same way as the counter registry: a
 // static_assert pins the enum sizes, and registry_test checks every
@@ -24,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "vsparse/formats/blocked_ell.hpp"
@@ -35,7 +32,7 @@
 namespace vsparse::kernels {
 
 enum class SpmmAlgorithm : std::uint8_t {
-  kAuto,        ///< octet for V>=2, FPU subwarp for V=1 (or policy cache)
+  kAuto,        ///< octet for V>=2, FPU subwarp for V=1
   kOctet,       ///< TCU-based 1-D Octet Tiling (§5.3)
   kWmmaWarp,    ///< classic warp-level WMMA mapping (§5.2)
   kFpuSubwarp,  ///< Sputnik-extended FPU tiling (§5.1)
@@ -44,7 +41,7 @@ enum class SpmmAlgorithm : std::uint8_t {
 };
 
 enum class SddmmAlgorithm : std::uint8_t {
-  kAuto,        ///< octet(reg) for V>=2, FPU subwarp for V=1 (or cache)
+  kAuto,        ///< octet(reg) for V>=2, FPU subwarp for V=1
   kOctet,       ///< §6.3 with the extra-registers inverted-pattern fix
   kWmmaWarp,    ///< §6.2
   kFpuSubwarp,  ///< §6.1
@@ -53,8 +50,6 @@ enum class SddmmAlgorithm : std::uint8_t {
 };
 
 enum class KernelOp : std::uint8_t { kSpmm, kSddmm };
-
-const char* kernel_op_name(KernelOp op);  ///< "spmm" | "sddmm"
 
 /// What one dispatch decision can see: the problem shape, the vector
 /// granularity, and the stored-fraction density.  Cheap to build from
@@ -105,7 +100,9 @@ inline constexpr int kNotInLadder = -1;
 
 /// One registered kernel implementation.
 struct KernelDesc {
-  const char* name;  ///< stable export/policy-cache id ("spmm_octet")
+  /// Stable id ("spmm_octet"): circuit breakers, repro bundles and
+  /// exports key on it, so names must stay unique.
+  const char* name;
   KernelOp op;
   /// The SpmmAlgorithm/SddmmAlgorithm value this desc implements (as
   /// int), or kNoAlgorithm for ladder-only re-encode kernels.
@@ -122,8 +119,8 @@ struct KernelDesc {
   /// order, filtered by `eligible` — no second copy of the policy.
   int ladder_rank;
   /// Shape constraints beyond v_mask (output-width alignment etc.).
-  /// Used by the serve ladder and the autotuner; plain dispatch defers
-  /// to the kernels' own argument checks, exactly as before.
+  /// Used by the serve ladder; plain dispatch defers to the kernels'
+  /// own argument checks, exactly as before.
   bool (*eligible)(const DispatchShape& shape);
   /// Launch thunks; null when the op/variant does not apply.
   KernelRun (*spmm_launch)(const SpmmCall& call);
@@ -133,15 +130,11 @@ struct KernelDesc {
   bool supports_v(int v) const {
     return v >= 1 && v <= 15 && (v_mask & (1u << v)) != 0;
   }
-  bool dispatchable() const { return algorithm != kNoAlgorithm; }
 };
 
 /// Every registered kernel, in canonical order (SpMM descs first, each
 /// op's dispatchable descs before its ladder-only ones).
 const std::vector<KernelDesc>& kernel_registry();
-
-/// Lookup by stable name; nullptr when unknown.
-const KernelDesc* find_kernel(std::string_view name);
 
 /// Lookup by (op, algorithm enum value); nullptr for kAuto /
 /// kNoAlgorithm / out-of-range values.
@@ -152,10 +145,9 @@ const KernelDesc* find_kernel(KernelOp op, int algorithm);
 const KernelDesc& kernel_for(SpmmAlgorithm algorithm);
 const KernelDesc& kernel_for(SddmmAlgorithm algorithm);
 
-/// The static kAuto heuristic, unchanged from the pre-registry enum
-/// switch: octet for V >= 2, FPU subwarp otherwise.  The policy cache
-/// (kernels/policy.hpp), when attached, is consulted *before* this and
-/// falls back here on miss.
+/// The kAuto rule, unchanged from the pre-registry enum switch: octet
+/// for V >= 2, FPU subwarp otherwise.  Dispatch and the Supervisor
+/// both resolve kAuto here, so the two always pick the same kernel.
 SpmmAlgorithm resolve_auto_spmm(const DispatchShape& shape);
 SddmmAlgorithm resolve_auto_sddmm(const DispatchShape& shape);
 

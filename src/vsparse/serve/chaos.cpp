@@ -15,8 +15,6 @@ const char* chaos_kind_name(ChaosKind kind) {
       return "brownout";
     case ChaosKind::kMemPressure:
       return "mem_pressure";
-    case ChaosKind::kPolicyCorrupt:
-      return "policy_corrupt";
     case ChaosKind::kNumKinds:
       break;
   }
@@ -63,9 +61,6 @@ ChaosActive ChaosPlan::at(std::uint64_t tick) const {
         break;
       case ChaosKind::kMemPressure:
         active.mem_pressure = true;
-        break;
-      case ChaosKind::kPolicyCorrupt:
-        active.policy_corrupt = true;
         break;
       case ChaosKind::kNumKinds:
         break;
@@ -184,22 +179,6 @@ std::string DeviceChaosPlan::to_json() const {
   }
   os << "]";
   return os.str();
-}
-
-std::string corrupt_policy_cache_json(std::uint64_t seed) {
-  const std::uint64_t h = mix64(seed ^ 0xc0bb7ed);
-  switch (h % 4) {
-    case 0:  // truncated mid-entry
-      return "{\"version\":\"vsparse-policy-v1\",\"entries\":[{\"key\":\"spmm";
-    case 1:  // stale version tag
-      return "{\"version\":\"vsparse-policy-v9\",\"entries\":[]}";
-    case 2:  // numeric field that overflows double parsing
-      return "{\"version\":\"vsparse-policy-v1\",\"entries\":[{\"key\":"
-             "\"spmm|volta-v100|m6k6n6d1v4\",\"kernel\":\"spmm_octet\","
-             "\"cycles\":1e99999}]}";
-    default:  // binary garbage
-      return std::string("\x7f\x45\x4c\x46\x02\x01\x01", 7) + "policy?";
-  }
 }
 
 }  // namespace vsparse::serve

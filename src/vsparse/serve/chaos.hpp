@@ -15,11 +15,6 @@
 //   kMemPressure    the per-request memory quota is slashed (quota/8);
 //                   fat requests are rejected with kQuotaExceeded at
 //                   admission.
-//   kPolicyCorrupt  the dispatch-policy cache is replaced by a
-//                   deterministically corrupted vsparse-policy-v1 blob
-//                   (truncated / wrong version / garbage), exercising
-//                   the hardened loader: a structured rejection must
-//                   fall back to heuristic dispatch, never crash.
 //
 // Windows are generated by splitmix64 from (seed, kind, index) over a
 // given horizon — same seed, same storms, any --threads=N.
@@ -35,7 +30,6 @@ enum class ChaosKind : std::uint8_t {
   kEccBurst = 0,
   kBrownout,
   kMemPressure,
-  kPolicyCorrupt,
   kNumKinds
 };
 
@@ -57,11 +51,6 @@ struct ChaosActive {
   bool ecc_burst = false;
   bool brownout = false;
   bool mem_pressure = false;
-  bool policy_corrupt = false;
-
-  bool any() const {
-    return ecc_burst || brownout || mem_pressure || policy_corrupt;
-  }
 };
 
 /// The composed scenario: seeded windows over a fixed horizon.
@@ -80,13 +69,6 @@ struct ChaosPlan {
   /// Deterministic JSON array of windows for the load report.
   std::string to_json() const;
 };
-
-/// A deterministically corrupted vsparse-policy-v1 blob (variant picked
-/// by seed: truncation, wrong schema tag, non-numeric cycles, binary
-/// garbage).  Fed to PolicyCache::from_json during kPolicyCorrupt
-/// storms; the hardened loader must reject every variant with a
-/// structured error.
-std::string corrupt_policy_cache_json(std::uint64_t seed);
 
 // ---- device-level fault domains --------------------------------------
 //

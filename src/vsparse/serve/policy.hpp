@@ -1,9 +1,8 @@
 // Serving policy knobs — what a long-lived process decides *once* and
 // applies to every launch it supervises.
 //
-// Dependency leaf (cstddef/cstdint only): kernels/dispatch.hpp keeps
-// the policy behind a forward-declared pointer, and this header is
-// what callers include to construct one.
+// Dependency leaf (cstddef/cstdint only): this header is what callers
+// include to construct a policy for serve::Supervisor.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +34,8 @@ struct RetryPolicy {
   std::uint64_t seed = 0;
 };
 
-/// The full fault-boundary policy a Supervisor (or a dispatch call
-/// with SpmmOptions::serve set) executes a request under.
+/// The full fault-boundary policy a Supervisor executes a request
+/// under.
 struct ServePolicy {
   RetryPolicy retry;
 
@@ -52,8 +51,7 @@ struct ServePolicy {
   std::size_t memory_quota_bytes = 0;
 
   /// Identifies the request in reports and decorrelates backoff jitter
-  /// across requests.  Supervisor::submit_* stamps this automatically;
-  /// direct dispatch callers may set it by hand.
+  /// across requests.  Supervisor::submit_* stamps it on every request.
   std::uint64_t request_id = 0;
 
   /// Optional kernel-health gate (serve/health.hpp is the canonical

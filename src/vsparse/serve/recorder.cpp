@@ -32,10 +32,9 @@ RequestOp parse_op(const std::string& name, std::size_t offset) {
                 "unknown request op \"" << name << "\" at offset " << offset);
 }
 
-/// Minimal recursive-descent reader for the vsparse-repro-v1 schema —
-/// the same shape as the hardened policy-cache loader (kernels/
-/// policy.cpp), including the raise-on-anything-odd posture: a repro
-/// bundle is an external artifact.
+/// Minimal recursive-descent reader for the vsparse-repro-v1 schema,
+/// with a raise-on-anything-odd posture: a repro bundle is an external
+/// artifact.
 class ReproReader {
  public:
   explicit ReproReader(std::string_view text) : text_(text) {}

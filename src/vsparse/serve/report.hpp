@@ -65,8 +65,6 @@ struct ServeReport {
   /// bit-exact at threads=1).
   kernels::KernelRun run;
 
-  void clear() { *this = ServeReport{}; }
-
   /// Deterministic single-line JSON (see header comment).
   std::string to_json() const;
 };

@@ -9,7 +9,6 @@
 
 #include "vsparse/common/rng.hpp"
 #include "vsparse/gpusim/device.hpp"
-#include "vsparse/kernels/policy.hpp"
 #include "vsparse/serve/recorder.hpp"
 #include "vsparse/serve/supervisor.hpp"
 
@@ -406,19 +405,6 @@ LoadResult run_load(const LoadConfig& config) {
       continue;
     }
 
-    if (chaos.at(now).policy_corrupt) {
-      // A corrupted dispatch-policy artifact arrives mid-storm: the
-      // hardened loader must reject it with a structured error, and
-      // serving proceeds on the static heuristic.  Once per request —
-      // failover legs and hedge duplicates don't re-load it.
-      try {
-        (void)kernels::PolicyCache::from_json(corrupt_policy_cache_json(
-            config.seed ^ static_cast<std::uint64_t>(req.id)));
-      } catch (const vsparse::Error&) {
-        ++result.policy_cache_rejections;
-      }
-    }
-
     // Hedge decision: a deadline-critical tenant whose remaining
     // margin shrank below the trigger duplicates onto the next-soonest
     // eligible worker — the classic tail-latency hedge, where the
@@ -604,7 +590,6 @@ std::string LoadResult::to_json(const LoadConfig& config) const {
      << ",\"restores\":" << health.restores
      << ",\"reopens\":" << health.reopens
      << ",\"events\":" << health_events_json << "}"
-     << ",\"policy_cache_rejections\":" << policy_cache_rejections
      << ",\"verify\":{\"enabled\":"
      << (config.verify ? "true" : "false")
      << ",\"mismatches\":" << mismatches

@@ -40,9 +40,8 @@
 //             completion latency lands in the tenant's SLO accounting
 //
 // Chaos storms (serve/chaos.hpp) modulate the execute step: ECC
-// bursts arm fault plans, brownouts shrink the watchdog budget,
-// memory-pressure windows slash the quota, policy-corrupt windows
-// feed the hardened cache loader garbage.  Device storms add
+// bursts arm fault plans, brownouts shrink the watchdog budget, and
+// memory-pressure windows slash the quota.  Device storms add
 // whole-device fault domains: wedges, brownouts, flapping, permanent
 // death.  A fleet of one fault-free device is bit- and counter-
 // identical to direct unsupervised dispatch, and every recovered
@@ -157,6 +156,8 @@ struct LoadResult {
   /// SLO-met completions per million ticks — the headline goodput.
   double goodput_per_mtick = 0.0;
   HealthTracker::Totals health;  ///< merged across the fleet
+  /// Always 0 and absent from the load report.  Kept only because
+  /// perfbench/src/serve_workloads.cpp reads it; delete with that read.
   std::uint64_t policy_cache_rejections = 0;
   std::uint64_t mismatches = 0;          ///< verify: output bytes differ
   std::uint64_t counter_mismatches = 0;  ///< verify: SM-local stats differ

@@ -11,7 +11,6 @@
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/blocked_ell.hpp"
 #include "vsparse/gpusim/trace/trace.hpp"
-#include "vsparse/kernels/policy.hpp"
 #include "vsparse/kernels/registry.hpp"
 
 namespace vsparse::serve {
@@ -86,7 +85,7 @@ void zero_output(gpusim::Device& dev, DenseDevice<half_t>& c) {
 
 void zero_buffer(gpusim::Buffer<half_t>& buf) {
   auto host = buf.host();
-  std::memset(host.data(), 0, host.size_bytes());
+  std::fill(host.begin(), host.end(), half_t::from_bits(0));
 }
 
 /// Rebuild the host-side Cvs from its device mirror.  The simulated
@@ -107,12 +106,6 @@ Cvs download_cvs(const CvsDevice& a) {
   host.col_idx.assign(ci.begin(), ci.end());
   host.values.assign(va.begin(), va.end());
   return host;
-}
-
-double cvs_density(const CvsDevice& m) {
-  const double total = static_cast<double>(m.rows) * m.cols;
-  if (total == 0) return 0.0;
-  return static_cast<double>(m.col_idx.size()) * m.v / total;
 }
 
 /// The ServeRung a ladder entry reports/traces as.  The report's rung
@@ -310,24 +303,19 @@ std::size_t spmm_ladder_workspace(const ServePolicy& policy,
   return worst;
 }
 
-}  // namespace
-
-KernelRun supervised_spmm(gpusim::Device& dev, const CvsDevice& a,
-                          const DenseDevice<half_t>& b,
-                          DenseDevice<half_t>& c,
-                          const kernels::SpmmOptions& options) {
-  VSPARSE_CHECK(options.serve != nullptr);
-  const ServePolicy& policy = *options.serve;
-  ServeReport local;
-  ServeReport& report = options.serve_report != nullptr
-                            ? *options.serve_report
-                            : local;
-  report.clear();
+/// One supervised SpMM under `policy`.  `report` receives the full
+/// attempt record (on success, `report.run` is the final rung's run);
+/// a give-up rethrows the last underlying error for submit_spmm to
+/// contain.
+void supervised_spmm(gpusim::Device& dev, const CvsDevice& a,
+                     const DenseDevice<half_t>& b, DenseDevice<half_t>& c,
+                     const kernels::SpmmOptions& options,
+                     const ServePolicy& policy, ServeReport& report) {
   report.request_id = policy.request_id;
   report.op = "spmm";
 
   gpusim::Trace* sink = resolve_sink(dev, options.sim);
-  const DispatchShape shape{c.rows, b.rows, c.cols, a.v, cvs_density(a)};
+  const DispatchShape shape = kernels::spmm_dispatch_shape(a, b);
 
   // ---- rung list: requested entry first, then the canonical ladder --
   LadderEntry entry{nullptr, false};
@@ -338,17 +326,9 @@ KernelRun supervised_spmm(gpusim::Device& dev, const CvsDevice& a,
                         "ABFT is only implemented for the octet SpMM kernel");
     entry = {&kernels::kernel_for(SpmmAlgorithm::kOctet), true};
   } else {
-    SpmmAlgorithm algo = options.algorithm;
-    if (algo == SpmmAlgorithm::kAuto) {
-      const kernels::KernelDesc* cached =
-          options.policy != nullptr
-              ? options.policy->lookup(KernelOp::kSpmm, dev.config().arch,
-                                       shape)
-              : nullptr;
-      algo = cached != nullptr
-                 ? static_cast<SpmmAlgorithm>(cached->algorithm)
-                 : kernels::resolve_auto_spmm(shape);
-    }
+    const SpmmAlgorithm algo = options.algorithm == SpmmAlgorithm::kAuto
+                                   ? kernels::resolve_auto_spmm(shape)
+                                   : options.algorithm;
     entry = {&kernels::kernel_for(algo), false};
   }
   if (!entry.desc->eligible(shape)) {
@@ -435,44 +415,30 @@ KernelRun supervised_spmm(gpusim::Device& dev, const CvsDevice& a,
   };
 
   try {
-    KernelRun run = run_ladder(policy, sink, report, rungs,
-                               [&] { zero_output(dev, c); }, run_rung);
+    run_ladder(policy, sink, report, rungs, [&] { zero_output(dev, c); },
+               run_rung);
     cleanup();
-    return run;
   } catch (...) {
     cleanup();
     throw;
   }
 }
 
-KernelRun supervised_sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
-                           const DenseDevice<half_t>& b, const CvsDevice& mask,
-                           gpusim::Buffer<half_t>& out_values,
-                           const kernels::SddmmOptions& options) {
-  VSPARSE_CHECK(options.serve != nullptr);
-  const ServePolicy& policy = *options.serve;
-  ServeReport local;
-  ServeReport& report = options.serve_report != nullptr
-                            ? *options.serve_report
-                            : local;
-  report.clear();
+/// One supervised SDDMM; same contract as supervised_spmm.
+void supervised_sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
+                      const DenseDevice<half_t>& b, const CvsDevice& mask,
+                      gpusim::Buffer<half_t>& out_values,
+                      const kernels::SddmmOptions& options,
+                      const ServePolicy& policy, ServeReport& report) {
   report.request_id = policy.request_id;
   report.op = "sddmm";
 
   gpusim::Trace* sink = resolve_sink(dev, options.sim);
-  const DispatchShape shape{mask.rows, a.cols, mask.cols, mask.v,
-                            cvs_density(mask)};
+  const DispatchShape shape = kernels::sddmm_dispatch_shape(a, mask);
 
-  SddmmAlgorithm algo = options.algorithm;
-  if (algo == SddmmAlgorithm::kAuto) {
-    const kernels::KernelDesc* cached =
-        options.policy != nullptr
-            ? options.policy->lookup(KernelOp::kSddmm, dev.config().arch,
-                                     shape)
-            : nullptr;
-    algo = cached != nullptr ? static_cast<SddmmAlgorithm>(cached->algorithm)
-                             : kernels::resolve_auto_sddmm(shape);
-  }
+  const SddmmAlgorithm algo = options.algorithm == SddmmAlgorithm::kAuto
+                                  ? kernels::resolve_auto_sddmm(shape)
+                                  : options.algorithm;
   const LadderEntry entry{&kernels::kernel_for(algo), false};
   if (!entry.desc->eligible(shape)) {
     reject(report, sink, ErrorCode::kBadDispatch, "serve.supervisor",
@@ -498,9 +464,11 @@ KernelRun supervised_sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
         kernels::SddmmCall{dev, a, b, mask, out_values, options.sim});
   };
 
-  return run_ladder(policy, sink, report, rungs,
-                    [&] { zero_buffer(out_values); }, run_rung);
+  run_ladder(policy, sink, report, rungs, [&] { zero_buffer(out_values); },
+             run_rung);
 }
+
+}  // namespace
 
 const ServeReport& Supervisor::finish(ServeReport&& report) {
   ++totals_.requests;
@@ -532,10 +500,8 @@ const ServeReport& Supervisor::submit_spmm(const CvsDevice& a,
   ServePolicy policy = policy_;
   policy.request_id = take_request_id();
   ServeReport report;
-  options.serve = &policy;
-  options.serve_report = &report;
   try {
-    supervised_spmm(dev_, a, b, c, options);
+    supervised_spmm(dev_, a, b, c, options, policy, report);
   } catch (const vsparse::Error&) {
     // Classified and recorded in the report — contained by design.
   } catch (const std::exception&) {
@@ -552,10 +518,8 @@ const ServeReport& Supervisor::submit_sddmm(const DenseDevice<half_t>& a,
   ServePolicy policy = policy_;
   policy.request_id = take_request_id();
   ServeReport report;
-  options.serve = &policy;
-  options.serve_report = &report;
   try {
-    supervised_sddmm(dev_, a, b, mask, out_values, options);
+    supervised_sddmm(dev_, a, b, mask, out_values, options, policy, report);
   } catch (const vsparse::Error&) {
   } catch (const std::exception&) {
   }

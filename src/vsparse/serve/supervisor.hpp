@@ -17,19 +17,22 @@
 //               operand from the (clean) host-side arena copy at fresh
 //               device addresses, which is what defeats sticky faults
 //               parked on the original encoding.
-//   give up     non-eligible failure or ladder exhausted: the original
-//               exception propagates; the report records why.
+//   give up     non-eligible failure or ladder exhausted: the report
+//               records the last error's code and site.
 //
-// Every hop emits a PR 3 trace event (serve_retry / serve_fallback /
+// Every hop emits a trace event (serve_retry / serve_fallback /
 // serve_give_up) and lands in the ServeReport.  All rungs are bit-
 // compatible (every SpMM kernel reproduces spmm_reference's fp32
 // K-ordered accumulation exactly), so a recovered launch is
 // bit-identical to a fault-free one.
 //
-// The null-policy fast path: dispatch with SpmmOptions::serve ==
-// nullptr never reaches this layer, and a supervised fault-free launch
-// performs exactly one kernel call with unchanged options — bit- and
-// counter-identical to unsupervised dispatch (asserted by serve_test).
+// Supervisor::submit_* is the only way into supervised execution;
+// kernels::spmm/sddmm never reach this layer.  The entry rung is the
+// kernel dispatch would run — kAuto resolves through the same
+// resolve_auto_* rule on the same DispatchShape — so a supervised
+// fault-free launch performs exactly one kernel call with unchanged
+// options, bit- and counter-identical to unsupervised dispatch
+// (asserted by serve_test).
 #pragma once
 
 #include <cstdint>
@@ -50,24 +53,6 @@ std::uint64_t backoff_cycles_for(const RetryPolicy& retry,
                                  std::uint64_t request_id, int rung_index,
                                  int attempt);
 
-/// Execute one supervised SpMM under options.serve (must be non-null).
-/// On success returns the final rung's KernelRun; on give-up rethrows
-/// the last underlying error (original type preserved).  When
-/// options.serve_report is set it receives the full attempt record
-/// either way.  Called by kernels::spmm; callable directly.
-kernels::KernelRun supervised_spmm(gpusim::Device& dev, const CvsDevice& a,
-                                   const DenseDevice<half_t>& b,
-                                   DenseDevice<half_t>& c,
-                                   const kernels::SpmmOptions& options);
-
-/// Supervised SDDMM; same contract.
-kernels::KernelRun supervised_sddmm(gpusim::Device& dev,
-                                    const DenseDevice<half_t>& a,
-                                    const DenseDevice<half_t>& b,
-                                    const CvsDevice& mask,
-                                    gpusim::Buffer<half_t>& out_values,
-                                    const kernels::SddmmOptions& options);
-
 /// The long-lived serving front end: owns the policy, stamps request
 /// ids, keeps every ServeReport, and never lets a classified failure
 /// escape — submit_* returns the report instead of throwing, which is
@@ -87,8 +72,7 @@ class Supervisor {
   Supervisor(gpusim::Device& dev, ServePolicy policy)
       : dev_(dev), policy_(policy) {}
 
-  /// Run one supervised SpMM.  `options.serve`/`serve_report` are
-  /// overridden by this Supervisor's policy and report storage.
+  /// Run one supervised SpMM under this Supervisor's policy.
   ///
   /// Lifetime: the returned reference points into reports(), so the
   /// NEXT submit_* / record_rejection call may invalidate it (vector

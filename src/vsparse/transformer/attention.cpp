@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "vsparse/kernels/dense/gemm.hpp"
-#include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/kernels/sddmm/sddmm_octet.hpp"
 #include "vsparse/kernels/softmax/sparse_softmax.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
@@ -16,8 +15,7 @@ AttentionBreakdown sparse_attention_head(gpusim::Device& dev,
                                          const DenseDevice<half_t>& v,
                                          const CvsDevice& mask,
                                          gpusim::Buffer<half_t>& scratch_values,
-                                         DenseDevice<half_t>& out,
-                                         const AttentionServe& serve) {
+                                         DenseDevice<half_t>& out) {
   const int seq = q.rows;
   const int d = q.cols;
   VSPARSE_CHECK(k.rows == seq && k.cols == d);
@@ -28,20 +26,10 @@ AttentionBreakdown sparse_attention_head(gpusim::Device& dev,
   AttentionBreakdown r;
 
   // Q Kᵀ ⊙ C: the row-major seq x d K matrix is bit-identical to the
-  // column-major d x seq Kᵀ the SDDMM RHS wants.  With a serve policy
-  // the call goes through dispatch's fault boundary; the forced kOctet
-  // algorithm and default inverted-pattern mode keep the fault-free
-  // path counter-identical to the direct kernel call.
+  // column-major d x seq Kᵀ the SDDMM RHS wants.
   DenseDevice<half_t> kt{k.buf, d, seq, k.ld, Layout::kColMajor};
-  if (serve.policy != nullptr) {
-    r.qk = kernels::sddmm(dev, q, kt, mask, scratch_values,
-                          {.algorithm = kernels::SddmmAlgorithm::kOctet,
-                           .serve = serve.policy,
-                           .serve_report = serve.qk_report});
-  } else {
-    r.qk = kernels::sddmm_octet(dev, q, kt, mask, scratch_values,
-                                {kernels::InvertedPatternMode::kExtraRegisters});
-  }
+  r.qk = kernels::sddmm_octet(dev, q, kt, mask, scratch_values,
+                              {kernels::InvertedPatternMode::kExtraRegisters});
 
   // Softmax over the masked scores, scaled by 1/sqrt(k), in place.
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
@@ -51,14 +39,7 @@ AttentionBreakdown sparse_attention_head(gpusim::Device& dev,
   // A V: the probabilities (CVS values) drive the octet SpMM.
   CvsDevice probs = mask;
   probs.values = scratch_values;
-  if (serve.policy != nullptr) {
-    r.av = kernels::spmm(dev, probs, v, out,
-                         {.algorithm = kernels::SpmmAlgorithm::kOctet,
-                          .serve = serve.policy,
-                          .serve_report = serve.av_report});
-  } else {
-    r.av = kernels::spmm_octet(dev, probs, v, out);
-  }
+  r.av = kernels::spmm_octet(dev, probs, v, out);
   return r;
 }
 

@@ -13,11 +13,6 @@
 #include "vsparse/formats/cvs.hpp"
 #include "vsparse/formats/dense.hpp"
 #include "vsparse/kernels/api.hpp"
-#include "vsparse/serve/report.hpp"
-
-namespace vsparse::serve {
-struct ServePolicy;
-}  // namespace vsparse::serve
 
 namespace vsparse::transformer {
 
@@ -34,18 +29,6 @@ struct AttentionBreakdown {
   }
 };
 
-/// Opt-in serving supervision for the attention core.  With a policy
-/// attached, the QKᵀ∘C SDDMM and AV SpMM run inside the launch
-/// supervisor's fault boundary (serve/supervisor.hpp) and the reports
-/// record every retry/fallback hop.  Null policy is the fast path:
-/// the head is bit- and counter-identical to the unsupervised build.
-/// The policy must outlive the call.
-struct AttentionServe {
-  const serve::ServePolicy* policy = nullptr;
-  serve::ServeReport* qk_report = nullptr;  ///< optional out-params
-  serve::ServeReport* av_report = nullptr;
-};
-
 /// One sparse attention head: q, k, v are seq x head_dim row-major
 /// device matrices; `mask` is the seq x seq CVS attention mask;
 /// `out` receives the seq x head_dim context.  `scratch_values` must
@@ -56,8 +39,7 @@ AttentionBreakdown sparse_attention_head(gpusim::Device& dev,
                                          const DenseDevice<half_t>& v,
                                          const CvsDevice& mask,
                                          gpusim::Buffer<half_t>& scratch_values,
-                                         DenseDevice<half_t>& out,
-                                         const AttentionServe& serve = {});
+                                         DenseDevice<half_t>& out);
 
 /// The dense baseline head: full seq x seq attention matrix via hgemm,
 /// dense softmax, dense AV.  `scores` must be a seq x seq scratch.

@@ -204,35 +204,8 @@ ForwardResult run_transformer_forward(gpusim::Device& dev,
                              Layout::kRowMajor};
       DenseDevice<half_t> oh{attn_out.h, seq, cfg.head_dim, d,
                              Layout::kRowMajor};
-      AttentionServe serve;
-      serve::ServeReport qk_report, av_report;
-      if (cfg.serve != nullptr) {
-        serve.policy = cfg.serve;
-        serve.qk_report = &qk_report;
-        serve.av_report = &av_report;
-      }
-      // Scope the storm (if any) to the supervised attention launches;
-      // detach even when a give-up unwinds past us.
-      struct StormGuard {
-        gpusim::Device& dev;
-        bool armed;
-        ~StormGuard() {
-          if (armed) dev.set_fault_plan(nullptr);
-        }
-      } storm_guard{dev, cfg.attention_storm != nullptr};
-      if (cfg.attention_storm != nullptr) {
-        dev.set_fault_plan(cfg.attention_storm);
-      }
-      AttentionBreakdown br = sparse_attention_head(
-          dev, qh, kh, vh, mask, sparse_scores[0], oh, serve);
-      if (storm_guard.armed) {
-        dev.set_fault_plan(nullptr);
-        storm_guard.armed = false;
-      }
-      res.serve_retries += static_cast<std::uint64_t>(qk_report.retries) +
-                           static_cast<std::uint64_t>(av_report.retries);
-      res.serve_fallbacks += static_cast<std::uint64_t>(qk_report.fallbacks) +
-                             static_cast<std::uint64_t>(av_report.fallbacks);
+      AttentionBreakdown br =
+          sparse_attention_head(dev, qh, kh, vh, mask, sparse_scores[0], oh);
       add_run(br.qk, hw, params, per_head_batch, res.qk_cycles, res.stats);
       add_run(br.softmax, hw, params, per_head_batch, res.softmax_cycles,
               res.stats);

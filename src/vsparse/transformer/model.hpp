@@ -28,10 +28,6 @@
 #include "vsparse/gpusim/device.hpp"
 #include "vsparse/kernels/api.hpp"
 
-namespace vsparse::serve {
-struct ServePolicy;
-}  // namespace vsparse::serve
-
 namespace vsparse::transformer {
 
 enum class Mode : std::uint8_t { kDenseFloat, kDenseHalf, kSparseHalf };
@@ -48,25 +44,6 @@ struct ModelConfig {
   int batch = 8;
   Mode mode = Mode::kSparseHalf;
 
-  /// Opt-in serving supervision for the sparse attention core
-  /// (kSparseHalf only): the QKᵀ∘C SDDMM and AV SpMM launches run
-  /// inside the launch supervisor's fault boundary, so a forward pass
-  /// survives transient fault storms via retry instead of unwinding to
-  /// main.  Null (the default) is the zero-overhead fast path — bit-
-  /// and counter-identical to the unsupervised model.  The policy must
-  /// outlive the call.
-  const serve::ServePolicy* serve = nullptr;
-
-  /// Optional seeded fault storm aimed at the attention core: the plan
-  /// is attached around the attention head (SDDMM, sparse softmax,
-  /// SpMM) and detached for the surrounding dense GEMMs, which run
-  /// outside the fault boundary.  Set `serve` too, and aim the storm
-  /// at reads only the supervised SDDMM/SpMM launches perform (e.g.
-  /// the mask's col_idx buffer — the softmax reads row_ptr alone), or
-  /// the first detection unwinds the forward pass.  The plan must
-  /// outlive the call.
-  gpusim::FaultPlan* attention_storm = nullptr;
-
   int d_model() const { return heads * head_dim; }
 };
 
@@ -79,11 +56,6 @@ struct ForwardResult {
 
   std::size_t peak_memory_bytes = 0;
   gpusim::KernelStats stats;  ///< aggregated hardware counters
-
-  /// Supervisor activity across all supervised attention launches
-  /// (zero when ModelConfig::serve is null or the storm misses).
-  std::uint64_t serve_retries = 0;
-  std::uint64_t serve_fallbacks = 0;
 
   double total_cycles() const {
     return qk_cycles + softmax_cycles + av_cycles + other_cycles;

@@ -1,14 +1,11 @@
 // Negative-path robustness: malformed .smtx inputs are rejected with
 // classified vsparse::Error{kMalformedFormat} (not crashes or silent
 // misparses) and the loader guardrails stop hostile headers before
-// they size allocations, the policy-cache reader survives the full
-// corrupt-blob corpus (truncation, stale versions, numeric overflow,
-// binary garbage, oversized artifacts) with structured kBadDispatch,
-// the dispatch layer rejects shape mismatches and unsupported ABFT
-// algorithms with kBadDispatch, worker and caller exceptions unwind
-// the threaded engine cleanly with the pool reusable afterwards, and
-// the allocator's overflow guards hold with their taxonomy codes
-// (kAllocOverflow / kOutOfMemory).
+// they size allocations, the dispatch layer rejects shape mismatches
+// and unsupported ABFT algorithms with kBadDispatch, worker and caller
+// exceptions unwind the threaded engine cleanly with the pool reusable
+// afterwards, and the allocator's overflow guards hold with their
+// taxonomy codes (kAllocOverflow / kOutOfMemory).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -27,8 +24,6 @@
 #include "vsparse/gpusim/engine/launch_config.hpp"
 #include "vsparse/gpusim/engine/sim_options.hpp"
 #include "vsparse/kernels/dispatch.hpp"
-#include "vsparse/kernels/policy.hpp"
-#include "vsparse/serve/chaos.hpp"
 
 namespace vsparse {
 namespace {
@@ -145,81 +140,6 @@ TEST(Smtx, WellFormedRoundTrips) {
   const SmtxPattern q = parse(os.str());
   EXPECT_EQ(q.row_ptr, p.row_ptr);
   EXPECT_EQ(q.col_idx, p.col_idx);
-}
-
-// ---- malformed policy-cache corpus -----------------------------------
-
-using kernels::PolicyCache;
-
-/// One syntactically valid single-entry cache with `cycles` spliced in
-/// verbatim, for probing the numeric hardening.
-std::string cache_with_cycles(const std::string& cycles) {
-  return "{\"version\":\"vsparse-policy-v1\",\"entries\":[{\"key\":"
-         "\"spmm|volta-v100|m6k6n6d1v4\",\"kernel\":\"spmm_octet\","
-         "\"cycles\":" +
-         cycles + "}]}";
-}
-
-TEST(PolicyCacheMalformed, ChaosCorruptVariantsAllClassified) {
-  // The chaos layer's corrupt-blob generator cycles through truncated
-  // JSON, a stale version tag, an overflowing numeric field, and
-  // binary garbage; every variant must come back as a structured
-  // kBadDispatch — never an unclassified std::out_of_range from stod,
-  // never a crash.
-  for (std::uint64_t seed = 0; seed < 16; ++seed) {
-    EXPECT_EQ(code_of([&] {
-                PolicyCache::from_json(serve::corrupt_policy_cache_json(seed));
-              }),
-              ErrorCode::kBadDispatch)
-        << "seed " << seed;
-  }
-}
-
-TEST(PolicyCacheMalformed, OversizedBlobRejectedBeforeParsing) {
-  std::string huge(kernels::kMaxPolicyCacheBytes + 1, ' ');
-  EXPECT_EQ(code_of([&] { PolicyCache::from_json(huge); }),
-            ErrorCode::kBadDispatch);
-}
-
-TEST(PolicyCacheMalformed, OverlongStringsRejected) {
-  const std::string long_key(kernels::kMaxPolicyStringLength + 1, 'k');
-  EXPECT_EQ(code_of([&] {
-              PolicyCache::from_json(
-                  "{\"version\":\"vsparse-policy-v1\",\"entries\":[{\"key\":"
-                  "\"" +
-                  long_key +
-                  "\",\"kernel\":\"spmm_octet\",\"cycles\":1.0}]}");
-            }),
-            ErrorCode::kBadDispatch);
-}
-
-TEST(PolicyCacheMalformed, HostileCyclesValuesRejected) {
-  // Exponent overflow (stod would throw std::out_of_range), negative
-  // cycles, and syntactically broken numbers are all classified.
-  EXPECT_EQ(code_of([&] { PolicyCache::from_json(cache_with_cycles("1e99999")); }),
-            ErrorCode::kBadDispatch);
-  EXPECT_EQ(code_of([&] { PolicyCache::from_json(cache_with_cycles("-1.0")); }),
-            ErrorCode::kBadDispatch);
-  EXPECT_EQ(code_of([&] { PolicyCache::from_json(cache_with_cycles(".")); }),
-            ErrorCode::kBadDispatch);
-  // A near-max finite exponent is fine: the cap is on non-finite and
-  // negative values, not on magnitude.
-  const PolicyCache ok = PolicyCache::from_json(cache_with_cycles("1e300"));
-  EXPECT_EQ(ok.size(), 1u);
-}
-
-TEST(PolicyCacheMalformed, EntryCountCapEnforced) {
-  std::string json = "{\"version\":\"vsparse-policy-v1\",\"entries\":[";
-  for (std::size_t i = 0; i <= kernels::kMaxPolicyCacheEntries; ++i) {
-    if (i) json += ",";
-    json += "{\"key\":\"k" + std::to_string(i) +
-            "\",\"kernel\":\"spmm_octet\",\"cycles\":1.0}";
-  }
-  json += "]}";
-  ASSERT_LE(json.size(), kernels::kMaxPolicyCacheBytes);  // hits the
-  // entry cap, not the byte cap
-  EXPECT_EQ(code_of([&] { PolicyCache::from_json(json); }),
-            ErrorCode::kBadDispatch);
 }
 
 // ---- dispatch-layer rejection ----------------------------------------

@@ -1,11 +1,12 @@
 // The launch supervisor's contracts (serve/): the error-taxonomy
-// property table, the null-policy fast path (supervised fault-free
-// dispatch bit- AND counter-identical to unsupervised), retry recovery
-// from transient ECC detections, degradation-ladder recovery from
-// sticky faults via re-encode, admission control (memory quota,
-// pre-admission rejections), give-up classification, trace-event
-// emission, report determinism, and the supervised transformer forward
-// pass surviving an injected attention fault storm.
+// property table, the fault-free fast path (a supervised launch picks
+// the kernel direct dispatch picks, for SpMM and SDDMM at every V, and
+// runs it bit- AND counter-identically), retry recovery from transient
+// ECC detections, degradation-ladder recovery from sticky faults via
+// re-encode, admission control (memory quota, pre-admission
+// rejections), give-up classification, trace-event emission, and
+// report determinism.  Every supervised call goes through
+// serve::Supervisor, the only entry into supervision.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 #include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/serve/policy.hpp"
 #include "vsparse/serve/supervisor.hpp"
-#include "vsparse/transformer/model.hpp"
 
 namespace vsparse {
 namespace {
@@ -109,38 +109,91 @@ TEST(ServeTaxonomy, CodePropertiesMatchTheDesignTable) {
             "\"retryable\":true}");
 }
 
-// ---- null-policy fast path -------------------------------------------
+// ---- fault-free fast path ---------------------------------------------
 
+// What one launch left behind, for comparing a supervised run with a
+// direct dispatch of the same problem.
+struct FastPathRun {
+  kernels::KernelRun run;
+  std::vector<half_t> out;
+  ServeReport report;  ///< empty for the direct dispatch
+};
+
+// A 64x64x64 SpMM or SDDMM at vector width `v`, on a fresh device,
+// through direct kAuto dispatch or through a Supervisor (threads=1).
+FastPathRun run_fast_path(bool sddmm, int v, bool supervised) {
+  gpusim::Device dev(test_config());
+  Rng rng(static_cast<std::uint64_t>(11 + v));
+  DenseMatrix<half_t> b_host(64, 64, sddmm ? Layout::kColMajor
+                                           : Layout::kRowMajor);
+  b_host.fill_random_int(rng);
+  auto b = to_device(dev, b_host);
+  Supervisor sup(dev, ServePolicy{});
+  FastPathRun r;
+  if (sddmm) {
+    DenseMatrix<half_t> a_host(64, 64);
+    a_host.fill_random_int(rng);
+    const Cvs mask_host = make_cvs_mask(64, 64, v, 0.7, rng);
+    auto a = to_device(dev, a_host);
+    auto mask = to_device(dev, mask_host);
+    auto out = dev.alloc<half_t>(mask_host.values.size());
+    if (supervised) {
+      r.report = sup.submit_sddmm(a, b, mask, out);
+      r.run = r.report.run;
+    } else {
+      r.run = kernels::sddmm(dev, a, b, mask, out);
+    }
+    const auto host = out.host();
+    r.out.assign(host.begin(), host.end());
+  } else {
+    const Cvs a_host = make_cvs(64, 64, v, 0.7, rng);
+    DenseMatrix<half_t> c_host(64, 64);
+    auto a = to_device(dev, a_host);
+    auto c = to_device(dev, c_host);
+    if (supervised) {
+      r.report = sup.submit_spmm(a, b, c);
+      r.run = r.report.run;
+    } else {
+      r.run = kernels::spmm(dev, a, b, c);
+    }
+    const auto host = c.buf.host();
+    r.out.assign(host.begin(), host.end());
+  }
+  return r;
+}
+
+// The Supervisor resolves kAuto by dispatch's own rule, so on both ops
+// and on both branches of the rule (FPU tiling for V = 1, octet tiling
+// for V >= 2) a fault-free supervised launch runs the same kernel once,
+// bit- and counter-identical to direct dispatch.
 TEST(ServeFastPath, FaultFreeSupervisedIsBitAndCounterIdentical) {
-  gpusim::Device plain_dev(test_config());
-  Problem plain(plain_dev);
-  kernels::KernelRun plain_run =
-      kernels::spmm(plain_dev, plain.a, plain.b, plain.c, {});
+  for (const bool sddmm : {false, true}) {
+    for (const int v : {1, 2, 4, 8}) {
+      SCOPED_TRACE(std::string(sddmm ? "sddmm" : "spmm") + " V=" +
+                   std::to_string(v));
+      const FastPathRun plain = run_fast_path(sddmm, v, false);
+      const FastPathRun served = run_fast_path(sddmm, v, true);
 
-  gpusim::Device served_dev(test_config());
-  Problem served(served_dev);
-  ServePolicy policy;  // defaults; no faults anywhere
-  ServeReport report;
-  kernels::KernelRun served_run =
-      kernels::spmm(served_dev, served.a, served.b, served.c,
-                    {.serve = &policy, .serve_report = &report});
+      EXPECT_TRUE(served.report.completed);
+      EXPECT_EQ(served.report.retries, 0);
+      EXPECT_EQ(served.report.fallbacks, 0);
+      EXPECT_EQ(served.report.attempts.size(), 1u);
+      EXPECT_EQ(served.report.final_rung,
+                v >= 2 ? ServeRung::kOctet : ServeRung::kFpuSubwarp);
+      EXPECT_EQ(served.run.config.profile.name, plain.run.config.profile.name);
 
-  EXPECT_TRUE(report.completed);
-  EXPECT_EQ(report.retries, 0);
-  EXPECT_EQ(report.fallbacks, 0);
-  EXPECT_EQ(report.attempts.size(), 1u);
-  EXPECT_EQ(report.final_rung, ServeRung::kOctet);
-
-  // Bit-identical output and counter-identical stats (KernelStats is a
-  // plain struct of counters; threads=1 makes every field exact).
-  const auto pc = plain.c.buf.host();
-  const auto sc = served.c.buf.host();
-  ASSERT_EQ(pc.size(), sc.size());
-  EXPECT_EQ(std::memcmp(pc.data(), sc.data(), pc.size_bytes()), 0);
-  EXPECT_EQ(std::memcmp(&plain_run.stats, &served_run.stats,
-                        sizeof(gpusim::KernelStats)),
-            0);
-  EXPECT_EQ(plain_run.config.grid, served_run.config.grid);
+      // Bit-identical output and counter-identical stats (KernelStats is
+      // a plain struct of counters; threads=1 makes every field exact).
+      ASSERT_EQ(plain.out.size(), served.out.size());
+      EXPECT_EQ(std::memcmp(plain.out.data(), served.out.data(),
+                            plain.out.size() * sizeof(half_t)),
+                0);
+      EXPECT_EQ(std::memcmp(&plain.run.stats, &served.run.stats,
+                            sizeof(gpusim::KernelStats)),
+                0);
+      EXPECT_EQ(plain.run.config.grid, served.run.config.grid);
+    }
+  }
 }
 
 // ---- retry path -------------------------------------------------------
@@ -153,10 +206,8 @@ TEST(ServeRetry, TransientEccDetectionRecoversBitExact) {
                    /*bit=*/1, /*n_bits=*/2, /*sticky=*/false});
   dev.set_fault_plan(&plan);
 
-  ServePolicy policy;
-  ServeReport report;
-  kernels::spmm(dev, p.a, p.b, p.c,
-                {.serve = &policy, .serve_report = &report});
+  Supervisor sup(dev, ServePolicy{});
+  const ServeReport& report = sup.submit_spmm(p.a, p.b, p.c);
   dev.set_fault_plan(nullptr);
 
   EXPECT_TRUE(report.completed);
@@ -185,10 +236,8 @@ TEST(ServeLadder, StickyFaultFallsBackToReencodeBitExact) {
                    /*bit=*/1, /*n_bits=*/2, /*sticky=*/true});
   dev.set_fault_plan(&plan);
 
-  ServePolicy policy;
-  ServeReport report;
-  kernels::spmm(dev, p.a, p.b, p.c,
-                {.serve = &policy, .serve_report = &report});
+  Supervisor sup(dev, ServePolicy{});
+  const ServeReport& report = sup.submit_spmm(p.a, p.b, p.c);
   dev.set_fault_plan(nullptr);
 
   // Every octet-family attempt hits the hard fault on the original
@@ -199,7 +248,9 @@ TEST(ServeLadder, StickyFaultFallsBackToReencodeBitExact) {
   EXPECT_EQ(report.fallbacks, 2);  // octet -> octet+ABFT -> blocked-ELL
   EXPECT_GT(report.retries, 0);
   for (const auto& at : report.attempts) {
-    if (!at.ok) EXPECT_EQ(at.code, ErrorCode::kEccUncorrectable);
+    if (!at.ok) {
+      EXPECT_EQ(at.code, ErrorCode::kEccUncorrectable);
+    }
   }
 
   const auto got = p.c.buf.host();
@@ -218,18 +269,10 @@ TEST(ServeLadder, LadderOffTurnsStickyFaultIntoClassifiedGiveUp) {
 
   ServePolicy policy;
   policy.ladder = false;
-  ServeReport report;
-  bool threw = false;
-  try {
-    kernels::spmm(dev, p.a, p.b, p.c,
-                  {.serve = &policy, .serve_report = &report});
-  } catch (const Error& e) {
-    threw = true;
-    EXPECT_EQ(e.code(), ErrorCode::kEccUncorrectable);
-  }
+  Supervisor sup(dev, policy);
+  const ServeReport& report = sup.submit_spmm(p.a, p.b, p.c);
   dev.set_fault_plan(nullptr);
 
-  EXPECT_TRUE(threw);  // direct dispatch rethrows the original error
   EXPECT_FALSE(report.completed);
   EXPECT_TRUE(report.has_error);
   EXPECT_EQ(report.final_code, ErrorCode::kEccUncorrectable);
@@ -265,10 +308,8 @@ TEST(ServeAdmission, QuotaRejectsOversizedRequestBeforeLaunching) {
   Problem p(dev);
   ServePolicy policy;
   policy.memory_quota_bytes = 1024;  // smaller than any rung workspace
-  ServeReport report;
-  EXPECT_THROW(kernels::spmm(dev, p.a, p.b, p.c,
-                             {.serve = &policy, .serve_report = &report}),
-               Error);
+  Supervisor sup(dev, policy);
+  const ServeReport& report = sup.submit_spmm(p.a, p.b, p.c);
   EXPECT_TRUE(report.rejected);
   EXPECT_EQ(report.final_code, ErrorCode::kQuotaExceeded);
   EXPECT_TRUE(report.attempts.empty());  // nothing launched
@@ -438,10 +479,10 @@ TEST(ServeTrace, RetryFallbackAndGiveUpEventsAreEmitted) {
   dev.set_fault_plan(&plan);
 
   gpusim::Trace trace;
-  ServePolicy policy;
-  kernels::SpmmOptions options{.serve = &policy};
+  Supervisor sup(dev, ServePolicy{});
+  kernels::SpmmOptions options;
   options.sim.trace.sink = &trace;
-  kernels::spmm(dev, p.a, p.b, p.c, options);
+  sup.submit_spmm(p.a, p.b, p.c, options);
   dev.set_fault_plan(nullptr);
 
   EXPECT_GT(count(trace, gpusim::TraceEventKind::kServeRetry), 0u);
@@ -459,67 +500,17 @@ TEST(ServeReportJson, DeterministicAcrossRunsAndThreadCounts) {
     dev.set_fault_plan(&plan);
     ServePolicy policy;
     policy.retry.seed = 2021;
-    ServeReport report;
-    kernels::SpmmOptions options{.serve = &policy, .serve_report = &report};
+    Supervisor sup(dev, policy);
+    kernels::SpmmOptions options;
     options.sim.threads = threads;
-    kernels::spmm(dev, p.a, p.b, p.c, options);
+    const std::string json = sup.submit_spmm(p.a, p.b, p.c, options).to_json();
     dev.set_fault_plan(nullptr);
-    return report.to_json();
+    return json;
   };
   const std::string serial = run_once(1);
   EXPECT_EQ(serial, run_once(1));  // reproducible
   EXPECT_EQ(serial, run_once(2));  // thread-invariant
   EXPECT_EQ(serial, run_once(8));
-}
-
-// ---- supervised transformer under an attention fault storm ------------
-
-TEST(ServeTransformer, ForwardPassSurvivesAttentionFaultStorm) {
-  transformer::ModelConfig cfg;
-  cfg.seq = 256;
-  cfg.layers = 1;
-  cfg.heads = 2;
-  cfg.head_dim = 64;
-  cfg.ffn_dim = 256;
-  cfg.v = 8;
-  cfg.band = 64;
-  cfg.batch = 1;
-  cfg.mode = transformer::Mode::kSparseHalf;
-
-  ServePolicy policy;
-  cfg.serve = &policy;
-
-  // Transient double-bit upset on the attention mask's col_idx buffer,
-  // SEC-DED detected on DRAM read.  The mask is the first upload on the
-  // fresh device, so row_ptr sits at arena address 0 and col_idx at the
-  // next 256-byte boundary (33 x 4-byte row_ptr entries round up to
-  // 256).  Only the supervised SDDMM and SpMM launches read col_idx —
-  // the sparse softmax between them reads row_ptr alone — so every
-  // strike lands inside the fault boundary, and the per-SM transient
-  // arming turns each strike into one detected attempt followed by a
-  // clean retry.
-  gpusim::FaultPlan storm(2021, /*ecc_enabled=*/true);
-  storm.add_target({gpusim::FaultSite::kDramRead, /*addr=*/256,
-                    /*bit=*/1, /*n_bits=*/2, /*sticky=*/false});
-  cfg.attention_storm = &storm;
-
-  gpusim::Device dev(test_config());
-  transformer::ForwardResult res =
-      transformer::run_transformer_forward(dev, cfg, /*seed=*/5);
-
-  EXPECT_GT(res.serve_retries + res.serve_fallbacks, 0u);
-  EXPECT_GT(res.total_cycles(), 0.0);
-
-  // The storm-free pass reports no supervisor activity at all.
-  transformer::ModelConfig clean_cfg = cfg;
-  clean_cfg.serve = nullptr;
-  clean_cfg.attention_storm = nullptr;
-  gpusim::Device clean_dev(test_config());
-  transformer::ForwardResult clean =
-      transformer::run_transformer_forward(clean_dev, clean_cfg, /*seed=*/5);
-  EXPECT_EQ(clean.serve_retries, 0u);
-  EXPECT_EQ(clean.serve_fallbacks, 0u);
-  EXPECT_GT(clean.total_cycles(), 0.0);
 }
 
 }  // namespace

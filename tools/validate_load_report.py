@@ -31,7 +31,7 @@ from vsparse_validate import check, check_schema, errors, load_json, \
 
 SCHEMA = "vsparse-load-v2"
 REPRO_SCHEMA = "vsparse-repro-v1"
-CHAOS_KINDS = {"ecc_burst", "brownout", "mem_pressure", "policy_corrupt"}
+CHAOS_KINDS = {"ecc_burst", "brownout", "mem_pressure"}
 DEVICE_CHAOS_KINDS = {"wedge", "brownout", "flap", "death"}
 EVENT_KINDS = {"quarantine", "half_open", "restore", "reopen"}
 FLEET_EVENT_KINDS = {"probe", "dead", "drain", "drain_reopen", "restore",
@@ -327,8 +327,7 @@ def check_baseline(doc, baseline_path):
     # equality is the right check (no tolerance band).
     for field in ("schema", "seed", "requests", "mean_gap_ticks", "devices",
                   "final_tick", "goodput_per_mtick", "totals", "health",
-                  "policy_cache_rejections", "device_chaos", "fleet",
-                  "sim_ctas"):
+                  "device_chaos", "fleet", "sim_ctas"):
         check(doc.get(field) == base.get(field),
               f"baseline drift in {field!r}: got {doc.get(field)!r}, "
               f"baseline {base.get(field)!r}")
