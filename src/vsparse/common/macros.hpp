@@ -3,6 +3,7 @@
 // invariants use VSPARSE_DCHECK (debug builds only).
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -30,6 +31,13 @@ namespace detail {
 }
 
 }  // namespace detail
+
+/// Host cache-line size.  Blocks that different host threads write on
+/// every simulated op (the engine's per-SM SmContext, SmTrace and
+/// SmSanitizer) are aligned to it, so two SMs never share a line and
+/// workers running neighbouring SMs do not bounce it between cores.
+inline constexpr std::size_t kHostCacheLineBytes = 64;
+
 }  // namespace vsparse
 
 /// Always-on invariant check.  Throws vsparse::CheckError on failure so

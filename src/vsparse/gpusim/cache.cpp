@@ -1,6 +1,7 @@
 #include "vsparse/gpusim/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace vsparse::gpusim {
 
@@ -10,6 +11,8 @@ SetArray::SetArray(std::size_t capacity_bytes, int line_bytes,
                    int sector_bytes, int ways)
     : line_bytes_(line_bytes),
       sector_bytes_(sector_bytes),
+      line_shift_(std::countr_zero(static_cast<unsigned>(line_bytes))),
+      sector_shift_(std::countr_zero(static_cast<unsigned>(sector_bytes))),
       sectors_per_line_(line_bytes / sector_bytes),
       ways_(ways) {
   VSPARSE_CHECK(is_pow2(static_cast<std::uint64_t>(line_bytes)));
@@ -36,20 +39,5 @@ void SetArray::flush() {
 }
 
 }  // namespace detail
-
-ShardedCache::ShardedCache(std::size_t capacity_bytes, int line_bytes,
-                           int sector_bytes, int ways, int num_slices)
-    : array_(capacity_bytes, line_bytes, sector_bytes, ways),
-      num_slices_(num_slices) {
-  VSPARSE_CHECK(num_slices >= 1);
-  const auto uslices = static_cast<std::size_t>(num_slices);
-  if ((uslices & (uslices - 1)) == 0) slice_mask_ = uslices - 1;
-  slices_ = std::make_unique<Slice[]>(uslices);
-}
-
-void ShardedCache::flush() {
-  array_.flush();
-  for (int s = 0; s < num_slices_; ++s) slices_[static_cast<std::size_t>(s)].tick = 0;
-}
 
 }  // namespace vsparse::gpusim

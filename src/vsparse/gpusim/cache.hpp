@@ -1,4 +1,4 @@
-// Sector-granular set-associative cache models.
+// Sector-granular set-associative cache model.
 //
 // GPU L1/L2 caches tag at 128 B line granularity but fill and count
 // misses at 32 B *sector* granularity (§2.1, Jia et al. [11]).  The
@@ -8,23 +8,18 @@
 // been filled; a miss fills only the requested sector (no prefetch of
 // sibling sectors).
 //
-// Two front-ends share the line/set logic (detail::SetArray):
-//   * SectorCache  — unsynchronized; one per SM as its private L1.
-//   * ShardedCache — the device-wide L2, partitioned into address-
-//     interleaved slices (slice = set % num_slices) each with its own
-//     lock and LRU clock so concurrent SM threads contend only when
-//     they touch the same slice.  Slicing is *counter-preserving*: the
-//     line -> set mapping is identical to SectorCache's and LRU order
-//     within a set depends only on that slice's access order, so a
-//     serial access stream produces bit-identical hit/miss results for
-//     any slice count.
+// One class, SectorCache, models both levels and is unsynchronized:
+//   * each SM's private L1 is touched only by the thread running that
+//     SM's CTAs;
+//   * the device-wide L2 is never probed from the CTA hot path.  SMs
+//     log their L2 accesses and the launching thread replays the logs
+//     in global CTA order under the Device's L2 mutex
+//     (engine/launch.hpp), so every L2 outcome is independent of the
+//     host thread count.
 #pragma once
 
-#include <atomic>
 #include <bit>
-#include <thread>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "vsparse/common/macros.hpp"
@@ -34,9 +29,8 @@ namespace vsparse::gpusim {
 
 namespace detail {
 
-/// Geometry plus the tag/sector/LRU state shared by both cache
-/// front-ends.  Not synchronized; callers serialize access per set
-/// (SectorCache globally, ShardedCache per slice).
+/// Geometry plus the tag/sector/LRU state behind SectorCache.  Not
+/// synchronized.
 class SetArray {
  public:
   /// capacity/line/sector in bytes; capacity must be a multiple of
@@ -51,61 +45,15 @@ class SetArray {
   /// Kept inline: this is the single hottest call in the simulator
   /// (every unique sector of every warp memory op walks it).
   bool access(std::uint64_t sector_addr, std::uint64_t tick) {
-    const std::uint64_t line_addr =
-        sector_addr / static_cast<std::uint64_t>(line_bytes_);
-    return access_in_set(sector_addr, line_addr, set_index(line_addr), tick);
-  }
-
-  /// `access` with the line address and set index precomputed (the
-  /// sharded front-end derives the slice from the same set index, so
-  /// it hashes once and passes both down).
-  bool access_in_set(std::uint64_t sector_addr, std::uint64_t line_addr,
-                     std::size_t set, std::uint64_t tick) {
     VSPARSE_DCHECK(sector_addr % static_cast<std::uint64_t>(sector_bytes_) ==
                    0);
-    const int sector_idx = static_cast<int>(
-        (sector_addr / static_cast<std::uint64_t>(sector_bytes_)) %
-        static_cast<std::uint64_t>(sectors_per_line_));
-    const std::uint32_t sector_bit = 1u << sector_idx;
-
-    const std::size_t base = set * static_cast<std::size_t>(ways_);
-    const int w = find_way(line_addr, base);
-    if (w >= 0) {
-      lru_[base + w] = tick;
-      if (valid_[base + w] & sector_bit) return true;
-      valid_[base + w] |= sector_bit;  // sector miss, line resident
-      return false;
-    }
-
-    // Line miss: evict the LRU way of the set, install with one sector.
-    std::size_t victim = base;
-    for (int i = 1; i < ways_; ++i) {
-      if (lru_[base + i] < lru_[victim]) victim = base + i;
-    }
-    tags_[victim] = line_addr;
-    valid_[victim] = sector_bit;
-    lru_[victim] = tick;
-    return false;
+    return access_line(sector_addr >> line_shift_, sector_bit(sector_addr),
+                       tick) != 0;
   }
 
   /// Invalidate one sector if resident (store coherence).
   void invalidate_sector(std::uint64_t sector_addr) {
-    const std::uint64_t line_addr =
-        sector_addr / static_cast<std::uint64_t>(line_bytes_);
-    invalidate_sector_in_set(sector_addr, line_addr, set_index(line_addr));
-  }
-
-  /// `invalidate_sector` with line address and set precomputed.
-  void invalidate_sector_in_set(std::uint64_t sector_addr,
-                                std::uint64_t line_addr, std::size_t set) {
-    const std::size_t base = set * static_cast<std::size_t>(ways_);
-    if (const int w = find_way(line_addr, base); w >= 0) {
-      const int sector_idx = static_cast<int>(
-          (sector_addr / static_cast<std::uint64_t>(sector_bytes_)) %
-          static_cast<std::uint64_t>(sectors_per_line_));
-      valid_[base + w] &= ~(1u << sector_idx);
-      if (valid_[base + w] == 0) tags_[base + w] = kInvalidTag;
-    }
+    invalidate_line(sector_addr >> line_shift_, sector_bit(sector_addr));
   }
 
   /// Batched form: access every sector in `sector_bits` (bit i = sector
@@ -149,11 +97,6 @@ class SetArray {
   /// Drop all contents.
   void flush();
 
-  /// Set index of the line holding `sector_addr` (XOR-folded hash).
-  std::size_t set_of_sector(std::uint64_t sector_addr) const {
-    return set_index(sector_addr / static_cast<std::uint64_t>(line_bytes_));
-  }
-
   /// Set index of a line address (XOR-folded hash, divide-free).
   std::size_t set_index(std::uint64_t line_addr) const {
     // XOR-folded set hashing, as GPU caches use: without it, power-of-two
@@ -180,22 +123,25 @@ class SetArray {
     return static_cast<std::size_t>(h % static_cast<std::uint64_t>(sets_));
   }
 
-
   int num_sets() const { return sets_; }
   int ways() const { return ways_; }
   int line_bytes() const { return line_bytes_; }
+  int line_shift() const { return line_shift_; }
   int sector_bytes() const { return sector_bytes_; }
 
  private:
   static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
+  /// Bit of `sector_addr`'s sector within its line.
+  std::uint32_t sector_bit(std::uint64_t sector_addr) const {
+    return 1u << ((sector_addr >> sector_shift_) &
+                  static_cast<std::uint64_t>(sectors_per_line_ - 1));
+  }
+
   /// Way index of `line_addr` within the set whose ways begin at flat
   /// index `base`, or -1.  Tags live in their own dense array so the
   /// scan reads 8 B per way: a 16-way L2 set spans two host cache
   /// lines instead of the six an array-of-structs layout touches.
-  /// Keeping the read-mostly tags apart from the written-every-probe
-  /// lru/valid metadata also keeps multi-worker simulations from
-  /// ping-ponging the tag lines on every LRU stamp.
   int find_way(std::uint64_t line_addr, std::size_t base) const {
     for (int w = 0; w < ways_; ++w) {
       if (tags_[base + w] == line_addr) return w;
@@ -205,6 +151,8 @@ class SetArray {
 
   int line_bytes_;
   int sector_bytes_;
+  int line_shift_;    ///< log2(line_bytes_)
+  int sector_shift_;  ///< log2(sector_bytes_)
   int sectors_per_line_;
   int ways_;
   int sets_;
@@ -218,8 +166,11 @@ class SetArray {
 
 }  // namespace detail
 
-/// Single-owner cache (the per-SM L1).  Not thread-safe; each SM's L1
-/// is only ever touched by the thread executing that SM's CTAs.
+/// Single-owner cache: an SM's private L1, or the Device's L2 (driven
+/// only by the launch replay, under the Device's L2 mutex).  Not
+/// thread-safe.  One LRU clock per cache: LRU only ever compares the
+/// stamps of one set, so any clock that is monotone in access order
+/// picks the same victims.
 class SectorCache {
  public:
   SectorCache(std::size_t capacity_bytes, int line_bytes, int sector_bytes,
@@ -244,19 +195,16 @@ class SectorCache {
   std::uint32_t access_line(std::uint64_t line_base,
                             std::uint32_t sector_bits) {
     tick_ += static_cast<std::uint64_t>(std::popcount(sector_bits));
-    return array_.access_line(
-        line_base / static_cast<std::uint64_t>(array_.line_bytes()),
-        sector_bits, tick_);
+    return array_.access_line(line_base >> array_.line_shift(), sector_bits,
+                              tick_);
   }
 
   /// Batched line invalidate (store coherence).
   void invalidate_line(std::uint64_t line_base, std::uint32_t sector_bits) {
-    array_.invalidate_line(
-        line_base / static_cast<std::uint64_t>(array_.line_bytes()),
-        sector_bits);
+    array_.invalidate_line(line_base >> array_.line_shift(), sector_bits);
   }
 
-  /// Drop all contents (kernel-boundary invalidation for L1).
+  /// Drop all contents.
   void flush() {
     array_.flush();
     tick_ = 0;
@@ -270,111 +218,6 @@ class SectorCache {
  private:
   detail::SetArray array_;
   std::uint64_t tick_ = 0;
-};
-
-/// The device-wide L2: the same cache model, sliced for concurrency.
-/// Real GPU L2s are physically partitioned into address-interleaved
-/// slices; here each slice owns the sets with set % num_slices ==
-/// slice_id, guarded by a per-slice mutex so SM threads running on
-/// different host threads serialize only within a slice.
-class ShardedCache {
- public:
-  ShardedCache(std::size_t capacity_bytes, int line_bytes, int sector_bytes,
-               int ways, int num_slices);
-
-  /// Thread-safe sector access (locks the owning slice).  Inline for
-  /// the same reason as SetArray::access — every L1-missed sector of
-  /// every warp op lands here.
-  bool access(std::uint64_t sector_addr) {
-    const std::uint64_t line_addr =
-        sector_addr / static_cast<std::uint64_t>(array_.line_bytes());
-    const std::size_t set = array_.set_index(line_addr);
-    Slice& slice = slices_[slice_of_set(set)];
-    SliceGuard lock(slice);
-    // Per-slice LRU clock: within a set (which belongs to exactly one
-    // slice) ticks are monotone in access order, so LRU decisions match
-    // a single global clock — slicing never changes serial counters.
-    return array_.access_in_set(sector_addr, line_addr, set, ++slice.tick);
-  }
-
-  /// Thread-safe sector invalidation (store coherence).
-  void invalidate_sector(std::uint64_t sector_addr) {
-    const std::uint64_t line_addr =
-        sector_addr / static_cast<std::uint64_t>(array_.line_bytes());
-    const std::size_t set = array_.set_index(line_addr);
-    Slice& slice = slices_[slice_of_set(set)];
-    SliceGuard lock(slice);
-    array_.invalidate_sector_in_set(sector_addr, line_addr, set);
-  }
-
-  /// Batched line access under one slice lock (see
-  /// SetArray::access_line); `line_base` is a line-aligned byte address.
-  std::uint32_t access_line(std::uint64_t line_base,
-                            std::uint32_t sector_bits) {
-    const std::uint64_t line_addr =
-        line_base / static_cast<std::uint64_t>(array_.line_bytes());
-    const std::size_t set = array_.set_index(line_addr);
-    Slice& slice = slices_[slice_of_set(set)];
-    SliceGuard lock(slice);
-    slice.tick += static_cast<std::uint64_t>(std::popcount(sector_bits));
-    return array_.access_line(line_addr, sector_bits, slice.tick);
-  }
-
-  /// Drop all contents.  Not concurrency-safe against in-flight
-  /// accesses; only called between launches.
-  void flush();
-
-  int num_slices() const { return num_slices_; }
-  int num_sets() const { return array_.num_sets(); }
-  int ways() const { return array_.ways(); }
-  int line_bytes() const { return array_.line_bytes(); }
-  int sector_bytes() const { return array_.sector_bytes(); }
-
- private:
-  /// Per-slice state guarded by a spinlock: the critical section is a
-  /// handful of loads/stores (one set probe), far shorter than a futex
-  /// round-trip, and slices outnumber worker threads so contention is
-  /// rare — spinning is strictly cheaper than std::mutex here.
-  // One cache line per slice: adjacent slices would otherwise share a
-  // line and every lock acquisition would ping-pong it between workers.
-  struct alignas(64) Slice {
-    std::atomic_flag mu = ATOMIC_FLAG_INIT;
-    std::uint64_t tick = 0;
-  };
-  class SliceGuard {
-   public:
-    explicit SliceGuard(Slice& s) : s_(s) {
-      int spins = 0;
-      while (s_.mu.test_and_set(std::memory_order_acquire)) {
-        while (s_.mu.test(std::memory_order_relaxed)) {
-          // When workers outnumber cores the holder may be preempted;
-          // spinning would then burn the holder's whole quantum, so
-          // hand the CPU back after a short bounded spin.
-          if (++spins >= 256) {
-            std::this_thread::yield();
-            spins = 0;
-          }
-        }
-      }
-    }
-    ~SliceGuard() { s_.mu.clear(std::memory_order_release); }
-    SliceGuard(const SliceGuard&) = delete;
-    SliceGuard& operator=(const SliceGuard&) = delete;
-
-   private:
-    Slice& s_;
-  };
-
-  std::size_t slice_of_set(std::size_t set) const {
-    return slice_mask_ != ~std::size_t{0}
-               ? (set & slice_mask_)
-               : set % static_cast<std::size_t>(num_slices_);
-  }
-
-  detail::SetArray array_;
-  int num_slices_;
-  std::size_t slice_mask_ = ~std::size_t{0};  ///< num_slices-1 if pow2
-  std::unique_ptr<Slice[]> slices_;
 };
 
 }  // namespace vsparse::gpusim

@@ -11,6 +11,10 @@
 // Throughput numbers are in bytes (or instructions) per model cycle and
 // feed the CostModel roofline.  All paper results are speedup *ratios*,
 // so only the relative balance of these rates matters.
+//
+// Nothing here describes the host: the L2 is one cache model whatever
+// the simulator's thread count (engine/launch.hpp replays every SM's L2
+// accesses in CTA order), so no field trades fidelity for host speed.
 #pragma once
 
 #include <cstddef>
@@ -60,16 +64,12 @@ struct DeviceConfig {
   std::size_t max_smem_per_cta = 96 << 10;
   std::size_t l2_bytes = 6 << 20;
   int line_bytes = 128;    ///< transaction / cache-line granularity
-  int sector_bytes = 32;   ///< fill & miss-count granularity
+  /// Fill & miss-count granularity.  The warp ops' coalescing walks are
+  /// written for 32 B sectors, so Device construction rejects any other
+  /// value rather than let the per-lane and span ops count differently.
+  int sector_bytes = 32;
   int l1_ways = 4;
   int l2_ways = 16;
-  /// Concurrency slices of the L2 (real GPUs interleave the L2 across
-  /// address-hashed slices; V100 has 32).  Slicing is counter-neutral:
-  /// sets are distributed set-index-interleaved across slices, so any
-  /// value yields bit-identical hit/miss counts under serial execution
-  /// — the slice count only bounds lock contention when the execution
-  /// engine runs SMs on multiple host threads.
-  int l2_slices = 16;
   int smem_banks = 32;     ///< 4-byte-wide shared-memory banks
 
   // --- L0 instruction cache (per sub-core) ---------------------------

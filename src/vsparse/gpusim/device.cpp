@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "vsparse/gpusim/engine/sm_context.hpp"
 #include "vsparse/gpusim/faults.hpp"
 
 namespace vsparse::gpusim {
@@ -21,8 +22,15 @@ const char* device_fault_name(DeviceFault fault) {
 
 Device::Device(DeviceConfig cfg)
     : cfg_(cfg),
-      l2_(cfg.l2_bytes, cfg.line_bytes, cfg.sector_bytes, cfg.l2_ways,
-          cfg.l2_slices) {
+      l2_(cfg.l2_bytes, cfg.line_bytes, cfg.sector_bytes, cfg.l2_ways) {
+  // The warp ops' sector arithmetic (coalescing, the span walks' line
+  // masks, DRAM bytes per miss) is written for 32 B sectors; any other
+  // size would count the per-lane and span paths differently.
+  VSPARSE_CHECK_MSG(cfg_.sector_bytes == 32,
+                    "sector_bytes=" << cfg_.sector_bytes
+                                    << " is not modelled; the warp ops "
+                                       "count 32 B sectors");
+  L2Log::check_fits(cfg_);
   capacity_ = cfg_.dram_capacity;
   // for_overwrite: the arena must not be value-initialized — it can be
   // gigabytes, and alloc_bytes() zeroes each allocation on demand.
@@ -162,6 +170,7 @@ void Device::reset() {
 void Device::flush_all_caches() {
   // L1s live in per-launch SmContexts and are born cold; the only
   // persistent cache a Device owns is the L2.
+  std::lock_guard<std::mutex> lock(l2_mutex_);
   l2_.flush();
 }
 

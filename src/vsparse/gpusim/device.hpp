@@ -1,5 +1,5 @@
-// Simulated device: DRAM arena, typed buffers, the shared (sliced) L2,
-// and peak-memory accounting (the Table 4 "Peak Memory" column is the
+// Simulated device: DRAM arena, typed buffers, the shared L2, and
+// peak-memory accounting (the Table 4 "Peak Memory" column is the
 // high-water mark of live allocations on this device).
 //
 // Per-SM state (L1, shared-memory arena, counter block) lives in the
@@ -94,12 +94,13 @@ class Buffer {
   std::size_t count_ = 0;
 };
 
-/// The simulated GPU.  Owns DRAM and the sliced L2; per-SM L1s belong
-/// to the engine's per-launch SmContexts.  Execution itself lives in
-/// the engine (`launch()` in gpusim/engine/), which drives warps
-/// against this device — possibly from several host threads, so
-/// everything reachable from here during a launch is either read-only
-/// (config, arena translation) or internally synchronized (the L2).
+/// The simulated GPU.  Owns DRAM and the L2; per-SM L1s belong to the
+/// engine's per-launch SmContexts.  Execution itself lives in the
+/// engine (`launch()` in gpusim/engine/), which drives warps against
+/// this device — possibly from several host threads, so everything a
+/// warp op reaches from here is read-only (config, arena translation).
+/// The L2 is touched only by the launch's replay of the SMs' L2 logs,
+/// under l2_mutex().
 class Device {
  public:
   explicit Device(DeviceConfig cfg = DeviceConfig::volta_v100());
@@ -223,7 +224,11 @@ class Device {
     return const_cast<Device*>(this)->translate(addr, len);
   }
 
-  ShardedCache& l2() { return l2_; }
+  /// The device-wide L2.  Hold l2_mutex() while touching it: several
+  /// host threads may launch on one Device, and each launch replays its
+  /// SMs' L2 logs into it after every epoch (engine/launch.hpp).
+  SectorCache& l2() { return l2_; }
+  std::mutex& l2_mutex() { return l2_mutex_; }
 
   /// Flush every cache level.  L1s are per-launch (engine SmContexts),
   /// so "all caches" a Device can flush between launches is the L2;
@@ -238,7 +243,7 @@ class Device {
   void set_sim_options(const SimOptions& opts) { sim_options_ = opts; }
 
   /// Snapshot of the allocation table, sorted by address, dead records
-  /// included.  Taken once per sanitized launch (engine `run_launch`)
+  /// included.  Taken once per sanitized launch (engine `launch`)
   /// so the per-lane boundscheck walks an immutable local array instead
   /// of taking `alloc_mutex_` on the hot path.
   std::vector<AllocRecord> allocation_snapshot() const;
@@ -291,7 +296,8 @@ class Device {
   std::atomic<std::size_t> live_{0};
   std::atomic<std::size_t> peak_{0};
   std::unordered_map<std::uint64_t, AllocInfo> allocations_;
-  ShardedCache l2_;
+  std::mutex l2_mutex_;
+  SectorCache l2_;  ///< guarded by l2_mutex_
   SimOptions sim_options_;
   FaultPlan* fault_plan_ = nullptr;
   DeviceFault device_fault_ = DeviceFault::kNone;

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <vector>
 
-#include "vsparse/gpusim/engine/launch.hpp"
 #include "vsparse/gpusim/engine/sm_context.hpp"
 #include "vsparse/gpusim/faults.hpp"
 #include "vsparse/gpusim/sanitizer/shadow.hpp"
@@ -22,6 +22,20 @@ std::atomic<std::uint64_t> g_total_ctas{0};
 }  // namespace
 
 namespace engine_detail {
+
+void replay_l2(Device& dev, std::vector<SmContext>& sms, int first_cta,
+               int end_cta) {
+  const int num_sms = dev.config().num_sms;
+  {
+    std::lock_guard<std::mutex> lock(dev.l2_mutex());
+    for (int cta = first_cta; cta < end_cta; ++cta) {
+      SmContext& sm = sms[static_cast<std::size_t>(cta % num_sms)];
+      sm.l2_log().replay(static_cast<std::size_t>((cta - first_cta) / num_sms),
+                         dev.l2(), sm.stats());
+    }
+  }
+  for (SmContext& sm : sms) sm.l2_log().clear();
+}
 
 /// Merge the per-SM trace buffers into one LaunchTrace and hand it to
 /// the sink.  Event order — launch begin, SM 0's stream, SM 1's, ...,
@@ -145,15 +159,6 @@ void check_device_serviceable(const Device& dev) {
 
 std::uint64_t total_simulated_ctas() {
   return g_total_ctas.load(std::memory_order_relaxed);
-}
-
-KernelStats run_launch(Device& dev, const LaunchConfig& cfg,
-                       const std::function<void(Cta&)>& body,
-                       const SimOptions& opts) {
-  // Compatibility form: instantiate the devirtualized engine once for
-  // std::function bodies.  New code should go through launch() so the
-  // body inlines into the CTA loop.
-  return run_launch_direct(dev, cfg, body, opts);
 }
 
 }  // namespace vsparse::gpusim

@@ -1,14 +1,13 @@
-// Launch-boundary engine pieces: the type-erased run_launch
-// compatibility entry, the process-wide CTA counter, and the
-// engine_detail helpers (trace/sanitizer merge, error augmentation)
-// that the devirtualized `run_launch_direct<Body>` template in
-// launch.hpp calls.  The hot per-CTA loop lives in that template so
-// each kernel body is a direct, inlinable call; only the cold
-// launch-boundary work is compiled once here.
+// Launch-boundary engine pieces: the process-wide CTA counter and the
+// engine_detail helpers (L2 log replay, trace/sanitizer merge, error
+// augmentation) that the devirtualized `run_launch_direct<Body>`
+// template in launch.hpp calls.  The hot per-CTA loop lives in that
+// template so each kernel body is a direct, inlinable call; only the
+// cold epoch- and launch-boundary work is compiled once here.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <vector>
 
 #include "vsparse/gpusim/device.hpp"
@@ -26,21 +25,6 @@ struct SanitizerOptions;
 class Trace;
 class Sanitizer;
 
-/// Execute `body` once per CTA of the launch, distributing SMs across
-/// host threads per `opts` (threads == 0 inherits the Device default),
-/// and return the merged hardware counters.  The first exception thrown
-/// by any CTA body is rethrown on the calling thread after the join.
-///
-/// This is the type-erased compatibility form.  The hot path is the
-/// devirtualized `run_launch_direct<Body>` template (engine/launch.hpp)
-/// that `launch()` — and through it every registry launch thunk
-/// (kernels/registry.hpp) — instantiates per kernel, so each kernel's
-/// CTA loop is a direct, inlinable call instead of a std::function
-/// dispatch.
-KernelStats run_launch(Device& dev, const LaunchConfig& cfg,
-                       const std::function<void(Cta&)>& body,
-                       const SimOptions& opts);
-
 /// Process-wide count of CTAs simulated since program start, across
 /// all devices and launches.  Benches snapshot it to report simulator
 /// throughput (simulated CTAs per wall-clock second).
@@ -49,9 +33,17 @@ std::uint64_t total_simulated_ctas();
 namespace engine_detail {
 
 // Out-of-line helpers shared by every run_launch_direct instantiation —
-// the cold launch-boundary work (merging trace/sanitizer collectors,
-// error augmentation, the global CTA counter) compiles once here while
-// the per-CTA loop specializes per kernel body.
+// the epoch- and launch-boundary work (L2 log replay, merging
+// trace/sanitizer collectors, error augmentation, the global CTA
+// counter) compiles once here while the per-CTA loop specializes per
+// kernel body.
+
+/// Replay CTAs [first_cta, end_cta) of the current epoch into the
+/// Device's L2, in CTA order, holding its L2 mutex: each CTA's logged
+/// accesses are credited to its SM's counters.  `first_cta` is the
+/// epoch's first CTA.  Then clear every SM's log for the next epoch.
+void replay_l2(Device& dev, std::vector<SmContext>& sms, int first_cta,
+               int end_cta);
 
 /// Merge the per-SM trace buffers into one LaunchTrace and hand it to
 /// the sink (bit-identical for any host thread count).

@@ -18,15 +18,19 @@
 // warp execution.
 //
 // With SimOptions{threads = N} the SM array is sharded across N host
-// worker threads (SmContexts are private per SM, the L2 is slice-
-// locked).  Functional results and per-SM counters are bit-exact for
-// any N; the serial default additionally reproduces the historical
-// global CTA order, making L2/DRAM counters bit-exact too.  Returns
-// the merged hardware counters for the launch.  L1s are born cold at
-// launch start (kernel-boundary semantics); L2 persists across
-// launches.
+// worker threads.  The warp ops write only their SM's private,
+// cache-line-aligned SmContext: L2 accesses are appended to the SM's
+// L2Log.  CTAs run in epochs of kEpochRounds CTAs per SM; after each
+// epoch the launching thread replays the logs into the Device's L2 in
+// global CTA order — the order the serial path runs CTAs in — under
+// the Device's L2 mutex.  So functional results and every counter,
+// L2/DRAM included, are bit-exact for any N and equal to the historical
+// serial engine.  Returns the merged hardware counters for the launch.
+// L1s are born cold at launch start (kernel-boundary semantics); L2
+// persists across launches.
 #pragma once
 
+#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <utility>
@@ -39,6 +43,12 @@
 
 namespace vsparse::gpusim {
 
+/// CTAs per SM in one epoch of a launch: the SMs' L2 logs hold at most
+/// one epoch before the launching thread replays them.  Longer epochs
+/// cost log memory; shorter ones cost CPU, because SM state migrates
+/// between host workers at every epoch.
+inline constexpr int kEpochRounds = 32;
+
 namespace engine_detail {
 
 /// Run one CTA on its home SM: fresh zeroed smem, fresh watchdog
@@ -46,6 +56,7 @@ namespace engine_detail {
 template <class Body>
 void run_cta_direct(SmContext& sm, const LaunchConfig& cfg, int cta_id,
                     Body& body) {
+  sm.l2_log().begin_cta();
   sm.prepare_smem(cfg.smem_bytes);
   sm.watchdog_reset();
   const std::uint64_t warps = static_cast<std::uint64_t>(cfg.cta_threads / 32);
@@ -73,12 +84,12 @@ void run_cta_direct(SmContext& sm, const LaunchConfig& cfg, int cta_id,
 
 /// The devirtualized launch engine: the full scheduling/threading body,
 /// specialized per kernel `Body` so the per-CTA call is direct (and
-/// inlinable) instead of a std::function dispatch.  Cold
-/// launch-boundary work (trace/sanitizer merge, error augmentation, the
-/// global CTA counter) stays out-of-line in engine.cpp behind
-/// engine_detail.  The registry launch thunks (kernels/registry.hpp)
-/// reach this through `launch()`, making each of them a concrete,
-/// monomorphic entry point for its kernel.
+/// inlinable) instead of a std::function dispatch.  Epoch- and
+/// launch-boundary work (L2 replay, trace/sanitizer merge, error
+/// augmentation, the global CTA counter) stays out-of-line in
+/// engine.cpp behind engine_detail.  The registry launch thunks
+/// (kernels/registry.hpp) reach this through `launch()`, making each of
+/// them a concrete, monomorphic entry point for its kernel.
 template <class Body>
 KernelStats run_launch_direct(Device& dev, const LaunchConfig& cfg,
                               Body&& body_in, const SimOptions& opts = {}) {
@@ -151,65 +162,65 @@ KernelStats run_launch_direct(Device& dev, const LaunchConfig& cfg,
     }
   }
 
-  if (threads == 1) {
-    // Serial path: CTAs run to completion in *global* launch order, so
-    // the shared-L2 access sequence — and with it every L2/DRAM
-    // counter — is bit-identical to the historical single-threaded
-    // engine.
-    try {
-      for (int cta = 0; cta < cfg.grid; ++cta) {
-        engine_detail::run_cta_direct(
-            sms[static_cast<std::size_t>(sched.sm_of(cta))], cfg, cta, body);
+  // Epochs bound the L2 logs' memory: kEpochRounds CTAs per SM run,
+  // then the launching thread replays the epoch's logs in CTA order.
+  const int epoch_ctas = kEpochRounds * sched.cta_stride();
+  std::exception_ptr error;
+  int error_cta = cfg.grid;  // lowest throwing CTA — the serial path's
+  for (int first = 0, end = 0; first < cfg.grid && !error; first = end) {
+    end = first + std::min(epoch_ctas, cfg.grid - first);
+    if (threads == 1) {
+      // Serial path: CTAs run to completion in *global* launch order.
+      int cta = first;
+      try {
+        for (; cta < end; ++cta) {
+          engine_detail::run_cta_direct(
+              sms[static_cast<std::size_t>(sched.sm_of(cta))], cfg, cta, body);
+        }
+      } catch (...) {
+        error = std::current_exception();
+        error_cta = cta;
       }
-    } catch (...) {
-      if (tropts.enabled()) {
-        engine_detail::finish_trace(*tropts.sink, cfg, dev.config().num_sms,
-                                    traces, sms, /*aborted=*/true);
-      }
-      if (sanopts.enabled()) {
-        engine_detail::finish_sanitizer(*sanopts.sink, cfg, sanopts,
-                                        sanitizers, /*aborted=*/true);
-      }
-      engine_detail::rethrow_launch_error(std::current_exception(), sms);
-    }
-  } else {
-    // Parallel path: workers claim whole SMs and run each SM's CTA
-    // list in launch order.  Per-SM state sees the same sequence as
-    // the serial path; only the interleaving of accesses to the
-    // slice-locked L2 differs.
-    std::mutex error_mu;
-    std::exception_ptr first_error;
-    int first_error_cta = cfg.grid;
-    ThreadPool::instance().run(threads, [&] {
-      for (int sm; (sm = sched.next_sm()) >= 0;) {
-        SmContext& ctx = sms[static_cast<std::size_t>(sm)];
-        int cta = sched.first_cta(sm);
-        try {
-          for (; cta < cfg.grid; cta += sched.cta_stride()) {
-            engine_detail::run_cta_direct(ctx, cfg, cta, body);
-          }
-        } catch (...) {
-          // Keep the lowest-indexed throwing CTA's error — the one the
-          // serial path raises — whichever SM reports first.
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (cta < first_error_cta) {
-            first_error_cta = cta;
-            first_error = std::current_exception();
+    } else {
+      // Parallel path: workers claim whole SMs and run each SM's CTAs
+      // of the epoch in launch order.  Per-SM state sees the same
+      // sequence as the serial path.
+      std::mutex error_mu;
+      sched.rewind();
+      ThreadPool::instance().run(threads, [&] {
+        for (int sm; (sm = sched.next_sm()) >= 0;) {
+          SmContext& ctx = sms[static_cast<std::size_t>(sm)];
+          int cta = first + sched.first_cta(sm);
+          try {
+            for (; cta < end; cta += sched.cta_stride()) {
+              engine_detail::run_cta_direct(ctx, cfg, cta, body);
+            }
+          } catch (...) {
+            // Keep the lowest-indexed throwing CTA's error — the one
+            // the serial path raises — whichever SM reports first.
+            std::lock_guard<std::mutex> lock(error_mu);
+            if (cta < error_cta) {
+              error_cta = cta;
+              error = std::current_exception();
+            }
           }
         }
-      }
-    });
-    if (first_error) {
-      if (tropts.enabled()) {
-        engine_detail::finish_trace(*tropts.sink, cfg, dev.config().num_sms,
-                                    traces, sms, /*aborted=*/true);
-      }
-      if (sanopts.enabled()) {
-        engine_detail::finish_sanitizer(*sanopts.sink, cfg, sanopts,
-                                        sanitizers, /*aborted=*/true);
-      }
-      engine_detail::rethrow_launch_error(first_error, sms);
+      });
     }
+    // On an error, stop after the throwing CTA's partial log: the L2
+    // then holds what the serial path leaves behind at any thread count.
+    engine_detail::replay_l2(dev, sms, first, error ? error_cta + 1 : end);
+  }
+  if (error) {
+    if (tropts.enabled()) {
+      engine_detail::finish_trace(*tropts.sink, cfg, dev.config().num_sms,
+                                  traces, sms, /*aborted=*/true);
+    }
+    if (sanopts.enabled()) {
+      engine_detail::finish_sanitizer(*sanopts.sink, cfg, sanopts,
+                                      sanitizers, /*aborted=*/true);
+    }
+    engine_detail::rethrow_launch_error(error, sms);
   }
 
   // Merge: uint64 sums are commutative and associative, so the merged

@@ -8,9 +8,10 @@
 // threads execute the SM array, so functional results and per-SM
 // counters are bit-exact for any thread count.
 //
-// Workers claim whole SMs from an atomic cursor (dynamic load
-// balancing across imbalanced SMs); claiming order never affects
-// which CTAs an SM runs or their order, only which worker runs them.
+// Workers claim whole SMs from an atomic cursor, once per epoch of the
+// launch (dynamic load balancing across imbalanced SMs); claiming order
+// never affects which CTAs an SM runs or their order, only which worker
+// runs them.
 #pragma once
 
 #include <atomic>
@@ -39,11 +40,16 @@ class Scheduler {
   int cta_stride() const { return num_sms_; }
 
   /// Claim the next unexecuted SM (workers call this in a loop until
-  /// it returns -1).  Thread-safe; each active SM is handed out once.
+  /// it returns -1).  Thread-safe; each active SM is handed out once
+  /// per epoch.
   int next_sm() {
     const int sm = cursor_.fetch_add(1, std::memory_order_relaxed);
     return sm < num_active_sms() ? sm : -1;
   }
+
+  /// Start a new epoch: every active SM can be claimed again.  Called
+  /// by the launching thread while no worker runs.
+  void rewind() { cursor_.store(0, std::memory_order_relaxed); }
 
  private:
   int grid_;

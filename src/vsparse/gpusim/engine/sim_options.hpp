@@ -19,14 +19,12 @@ struct SimOptions {
   ///   0  -> inherit the Device's configured default (which itself
   ///         defaults to 1).
   ///   1  -> serial: CTAs run to completion in launch order, exactly
-  ///         the historical engine behavior (all counters, including
-  ///         L2/DRAM, are bit-identical to it).
+  ///         the historical engine behavior.
   ///   N  -> N workers; each SM's CTA list still runs in launch order
-  ///         on a single worker, so functional results and all per-SM
-  ///         counters (instructions, smem, L1, sectors/req) stay
-  ///         bit-exact for any N.  Only the attribution/split of
-  ///         L2 hit/miss and DRAM byte counters may shift, because
-  ///         concurrent SMs interleave in the shared L2.
+  ///         on a single worker, and the L2 replays every SM's logged
+  ///         accesses in CTA order, so functional results and every
+  ///         counter — L2 hit/miss and DRAM bytes included — are
+  ///         bit-identical to threads == 1 for any N.
   int threads = 0;
 
   /// Optional out-parameter: when non-null, the launch fills it with

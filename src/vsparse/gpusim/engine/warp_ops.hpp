@@ -1,9 +1,14 @@
 // Warp memory/shuffle operation bodies — kept header-only so they
 // inline into kernel loops.  Every operation performs the real data
 // movement *and* records the hardware events (requests, 32 B sectors,
-// L1/L2 hits, bank conflicts) that the paper's profiling sections
-// analyze.  All counters land in the executing SM's private stats
-// block; the only shared structure touched is the slice-locked L2.
+// L1 hits, bank conflicts) that the paper's profiling sections
+// analyze.  Every op writes only its SM's private state: counters land
+// in the SM's stats block, and each L1-missed load line and each store
+// line is appended to the SM's L2Log instead of probing the shared L2.
+// The launch replays those logs in CTA order after every epoch
+// (engine/launch.hpp), which credits the L2 hits, misses and DRAM bytes
+// to the same SM.  Sectors are 32 B: Device construction rejects any
+// other size, so the `& ~31` / `>> 5` sector arithmetic below is exact.
 #pragma once
 
 #include <algorithm>
@@ -105,18 +110,13 @@ void Warp::ldg(const AddrLanes& addr, Lanes<V>& dst, std::uint32_t mask) {
   s.global_load_requests += 1;
   s.global_load_sectors += static_cast<std::uint64_t>(sectors.size());
   SectorCache& l1 = sm().l1();
-  ShardedCache& l2 = dev.l2();
+  L2Log& l2 = sm().l2_log();
   for (int i = 0; i < sectors.size(); ++i) {
     if (l1.access(sectors[i])) {
       ++s.l1_sector_hits;
     } else {
       ++s.l1_sector_misses;
-      if (l2.access(sectors[i])) {
-        ++s.l2_sector_hits;
-      } else {
-        ++s.l2_sector_misses;
-        s.dram_read_bytes += 32;
-      }
+      l2.sector(sectors[i], /*store=*/false);
     }
   }
 }
@@ -147,15 +147,10 @@ void Warp::stg(const AddrLanes& addr, const Lanes<V>& src,
   s.global_store_requests += 1;
   s.global_store_sectors += static_cast<std::uint64_t>(sectors.size());
   SectorCache& l1 = sm().l1();
-  ShardedCache& l2 = dev.l2();
+  L2Log& l2 = sm().l2_log();
   for (int i = 0; i < sectors.size(); ++i) {
     l1.invalidate_sector(sectors[i]);  // keep L1 coherent with the store
-    if (!l2.access(sectors[i])) {
-      ++s.l2_sector_misses;
-      s.dram_write_bytes += 32;
-    } else {
-      ++s.l2_sector_hits;
-    }
+    l2.sector(sectors[i], /*store=*/true);
   }
 }
 
@@ -281,21 +276,19 @@ void Warp::ldg_span(const std::uint64_t* seg_base, int segs, int width,
 
   Device& dev = device();
   SectorCache& l1 = sm().l1();
-  ShardedCache& l2 = dev.l2();
+  L2Log& l2 = sm().l2_log();
   std::uint64_t nsec = 0;
   // Unique sectors arrive in per-lane first-touch order, ascending
   // within a segment — so consecutive touches of the same cache line
-  // can be merged into ONE probe per cache level (a 4-bit sector mask
-  // instead of up to 4 tag lookups).  SetArray::access_line documents
-  // why the merged probe is state- and counter-identical to the
-  // per-sector sequence; merging only coalesces *adjacent* touches, so
-  // interleavings with other lines are preserved exactly.
+  // can be merged into ONE L1 probe and ONE L2 log entry (a sector
+  // mask instead of up to 4 tag lookups).  SetArray::access_line
+  // documents why the merged probe is state- and counter-identical to
+  // the per-sector sequence; merging only coalesces *adjacent* touches,
+  // so interleavings with other lines are preserved exactly.  L1 and L2
+  // share the device's line size, a power-of-two multiple of the 32 B
+  // sector, so every touch batches.
   const std::uint64_t line_bytes =
       static_cast<std::uint64_t>(l1.line_bytes());
-  const bool batch =
-      line_bytes == static_cast<std::uint64_t>(l2.line_bytes()) &&
-      line_bytes >= 32 && line_bytes <= 32 * 32 &&
-      (line_bytes & (line_bytes - 1)) == 0;
   std::uint64_t cur_line = ~std::uint64_t{0};
   std::uint32_t cur_bits = 0;
   const auto flush = [&] {
@@ -306,33 +299,12 @@ void Warp::ldg_span(const std::uint64_t* seg_base, int segs, int width,
     s.l1_sector_hits += static_cast<std::uint64_t>(nh);
     s.l1_sector_misses += static_cast<std::uint64_t>(nb - nh);
     if (const std::uint32_t miss = cur_bits & ~hits; miss != 0) {
-      const std::uint32_t h2 = l2.access_line(cur_line, miss);
-      const int nm = std::popcount(miss);
-      const int nh2 = std::popcount(h2);
-      s.l2_sector_hits += static_cast<std::uint64_t>(nh2);
-      s.l2_sector_misses += static_cast<std::uint64_t>(nm - nh2);
-      s.dram_read_bytes += 32u * static_cast<std::uint64_t>(nm - nh2);
+      l2.line(cur_line, miss, /*store=*/false);
     }
     cur_bits = 0;
   };
   const auto touch = [&](std::uint64_t sec) {
     ++nsec;
-    if (!batch) [[unlikely]] {
-      // Mismatched/unusual line geometry: per-sector walk, identical to
-      // the per-lane op's hierarchy accounting.
-      if (l1.access(sec)) {
-        ++s.l1_sector_hits;
-      } else {
-        ++s.l1_sector_misses;
-        if (l2.access(sec)) {
-          ++s.l2_sector_hits;
-        } else {
-          ++s.l2_sector_misses;
-          s.dram_read_bytes += 32;
-        }
-      }
-      return;
-    }
     const std::uint64_t line = sec & ~(line_bytes - 1);
     if (line != cur_line) {
       flush();
@@ -476,41 +448,22 @@ void Warp::stg_span(const std::uint64_t* seg_base, int segs, int width,
 
   Device& dev = device();
   SectorCache& l1 = sm().l1();
-  ShardedCache& l2 = dev.l2();
+  L2Log& l2 = sm().l2_log();
   std::uint64_t nsec = 0;
   // Same line-batched touch as ldg_span (see the argument there): one
-  // L1 invalidate + one L2 probe per line instead of per sector.
+  // L1 invalidate + one L2 log entry per line instead of per sector.
   const std::uint64_t line_bytes =
       static_cast<std::uint64_t>(l1.line_bytes());
-  const bool batch =
-      line_bytes == static_cast<std::uint64_t>(l2.line_bytes()) &&
-      line_bytes >= 32 && line_bytes <= 32 * 32 &&
-      (line_bytes & (line_bytes - 1)) == 0;
   std::uint64_t cur_line = ~std::uint64_t{0};
   std::uint32_t cur_bits = 0;
   const auto flush = [&] {
     if (cur_bits == 0) return;
     l1.invalidate_line(cur_line, cur_bits);  // keep L1 coherent
-    const std::uint32_t h2 = l2.access_line(cur_line, cur_bits);
-    const int nb = std::popcount(cur_bits);
-    const int nh2 = std::popcount(h2);
-    s.l2_sector_hits += static_cast<std::uint64_t>(nh2);
-    s.l2_sector_misses += static_cast<std::uint64_t>(nb - nh2);
-    s.dram_write_bytes += 32u * static_cast<std::uint64_t>(nb - nh2);
+    l2.line(cur_line, cur_bits, /*store=*/true);
     cur_bits = 0;
   };
   const auto touch = [&](std::uint64_t sec) {
     ++nsec;
-    if (!batch) [[unlikely]] {
-      l1.invalidate_sector(sec);  // keep L1 coherent with the store
-      if (!l2.access(sec)) {
-        ++s.l2_sector_misses;
-        s.dram_write_bytes += 32;
-      } else {
-        ++s.l2_sector_hits;
-      }
-      return;
-    }
     const std::uint64_t line = sec & ~(line_bytes - 1);
     if (line != cur_line) {
       flush();

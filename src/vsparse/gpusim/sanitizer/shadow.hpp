@@ -7,7 +7,8 @@
 // only ever touched by the host worker executing that SM's CTA list,
 // so there is no synchronization anywhere — and because per-SM CTA
 // order is fixed by the scheduler, the report list is bit-identical
-// for any host thread count.
+// for any host thread count.  Like SmContext, each instance is aligned
+// to a host cache line so neighbouring SMs never share one.
 //
 // Epoch semantics (racecheck).  Warps of a CTA execute phase-by-phase;
 // the data a warp may safely consume from another warp is whatever was
@@ -41,7 +42,7 @@ namespace vsparse::gpusim {
 
 class SmTrace;
 
-class SmSanitizer {
+class alignas(kHostCacheLineBytes) SmSanitizer {
  public:
   /// `allocs` is the launch-wide allocation snapshot (sorted by
   /// address), shared read-only across SMs; must outlive the launch.

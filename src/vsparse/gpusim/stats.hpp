@@ -103,10 +103,11 @@ struct KernelStats {
   KernelStats& operator+=(const KernelStats& other);
 
   /// Equality over the SM-local counters: everything except the L2
-  /// hit/miss split and DRAM bytes.  Those four depend on how
-  /// concurrent SMs interleave in the shared L2, so they are the only
-  /// fields the engine's determinism contract excludes for thread
-  /// counts > 1 (at threads == 1 they are bit-exact too).
+  /// hit/miss split and DRAM bytes.  Those four also depend on what the
+  /// L2 held before the launch, so serving verify — which compares a
+  /// long-lived device's run against a freshly reset reference device
+  /// — compares only the SM-local rest.  (Every counter, these four
+  /// included, is independent of the host thread count.)
   bool sm_local_equal(const KernelStats& other) const;
 
   /// Multi-line human-readable dump.

@@ -49,9 +49,9 @@ struct CounterDef {
   const char* label;   ///< pretty-print label within the group ("HMMA", "rd")
   const char* suffix;  ///< printed right after the value ("B" for DRAM bytes)
   bool skip_zero;      ///< omit from pretty-print when the value is zero
-  bool sm_local;       ///< false for the four counters the engine's
-                       ///< determinism contract excludes at threads > 1
-                       ///< (L2 hit/miss split, DRAM bytes)
+  bool sm_local;       ///< false for the four counters that depend on
+                       ///< the L2's history (L2 hit/miss split, DRAM
+                       ///< bytes); see KernelStats::sm_local_equal
   int op;              ///< >= 0: this counter is ops[op]
   std::uint64_t KernelStats::* member;  ///< used when op < 0
 };

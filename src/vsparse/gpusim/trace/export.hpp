@@ -10,12 +10,10 @@
 //   shape, event census, and every registry counter plus derived
 //   metrics (schema "vsparse-metrics-v1").
 //
-// Both serializers are deterministic functions of the Trace contents:
-// with the engine's per-SM determinism contract, the Perfetto string
-// is byte-identical for any `threads = N` (it contains no L2/DRAM
-// counters); metrics.json additionally embeds the four
-// interleaving-sensitive counters, so it is byte-stable only at a
-// fixed thread count.
+// Both serializers are deterministic functions of the Trace contents,
+// and every counter they embed is independent of the host thread count
+// (the engine replays L2 accesses in CTA order), so both are
+// byte-identical for any `threads = N`.
 #pragma once
 
 #include <string>

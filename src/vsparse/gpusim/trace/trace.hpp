@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "vsparse/common/macros.hpp"
 #include "vsparse/gpusim/stats.hpp"
 #include "vsparse/gpusim/trace/options.hpp"
 
@@ -67,8 +68,10 @@ struct TraceEvent {
 
 /// Per-SM event buffer for one launch.  Owned by the engine, attached
 /// to the SmContext, and appended to only by the worker thread running
-/// that SM — no synchronization anywhere on the hot path.
-class SmTrace {
+/// that SM — no synchronization anywhere on the hot path.  Aligned to a
+/// host cache line, like SmContext, so neighbouring SMs' clocks never
+/// share one.
+class alignas(kHostCacheLineBytes) SmTrace {
  public:
   SmTrace(int sm_id, const TraceOptions& opts)
       : sm_id_(static_cast<std::int16_t>(sm_id)),

@@ -1,13 +1,17 @@
 // Thread-count sweep for the sharded execution engine: the same
 // kernel launched with 1, 2, and 8 host threads must produce
-// bit-identical functional results and bit-identical per-SM counters
-// (the determinism contract of engine/launch.hpp).  Also covers the
-// Scheduler's round-robin assignment, the counter-preserving L2
-// slicing, SimOptions inheritance from the device, and exception
-// propagation out of worker threads (the lowest throwing CTA's error,
-// at any thread count).
+// bit-identical functional results, bit-identical counters — merged
+// and per SM, the L2 hit/miss split and DRAM bytes included — and
+// identical CostModel cycles (the determinism contract of
+// engine/launch.hpp: SMs log their L2 accesses and the launch replays
+// them in CTA order).  Also covers launches spanning several replay
+// epochs, the L2 an aborted launch leaves behind, the Scheduler's
+// round-robin assignment, SimOptions inheritance from the device, and
+// exception propagation out of worker threads (the lowest throwing
+// CTA's error, at any thread count).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
@@ -17,6 +21,7 @@
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/gpusim/cache.hpp"
+#include "vsparse/gpusim/costmodel.hpp"
 #include "vsparse/gpusim/device.hpp"
 #include "vsparse/gpusim/engine/scheduler.hpp"
 #include "vsparse/gpusim/engine/launch.hpp"
@@ -43,6 +48,7 @@ struct SweepRun {
   std::vector<std::uint16_t> out_bits;      ///< downloaded result payload
   gpusim::KernelStats total;                ///< merged launch counters
   std::vector<gpusim::KernelStats> per_sm;  ///< one block per device SM
+  double cycles = 0;                        ///< CostModel estimate
 };
 
 /// Run the octet SpMM end to end with `threads` workers.
@@ -55,7 +61,9 @@ SweepRun run_spmm(int threads, const Cvs& a_host,
   auto b = to_device(dev, b_host);
   DenseMatrix<half_t> ch(a_host.rows, b_host.cols());
   auto c = to_device(dev, ch);
-  run.total = spmm_octet(dev, a, b, c, {}, sim).stats;
+  const KernelRun kr = spmm_octet(dev, a, b, c, {}, sim);
+  run.total = kr.stats;
+  run.cycles = kr.cost(dev.config()).cycles;
   for (half_t h : c.buf.host()) run.out_bits.push_back(h.bits());
   return run;
 }
@@ -71,9 +79,32 @@ SweepRun run_sddmm(int threads, const DenseMatrix<half_t>& a_host,
   auto mask = to_device(dev, mask_host);
   auto out = dev.alloc<half_t>(mask_host.col_idx.size() *
                                static_cast<std::size_t>(mask_host.v));
-  run.total = sddmm_octet(dev, a, b, mask, out, {}, sim).stats;
+  const KernelRun kr = sddmm_octet(dev, a, b, mask, out, {}, sim);
+  run.total = kr.stats;
+  run.cycles = kr.cost(dev.config()).cycles;
   for (half_t h : out.host()) run.out_bits.push_back(h.bits());
   return run;
+}
+
+/// Every counter, merged and per SM, equal between a serial baseline
+/// and an N-thread run.
+void expect_counters_thread_invariant(
+    const gpusim::KernelStats& base_total,
+    const std::vector<gpusim::KernelStats>& base_per_sm,
+    const gpusim::KernelStats& total,
+    const std::vector<gpusim::KernelStats>& per_sm, int threads) {
+  EXPECT_TRUE(gpusim::counters_equal(base_total, total))
+      << "merged counters differ at threads=" << threads << "\nserial:\n"
+      << base_total.to_string() << "\nthreaded:\n"
+      << total.to_string();
+  ASSERT_EQ(base_per_sm.size(), per_sm.size());
+  for (std::size_t sm = 0; sm < base_per_sm.size(); ++sm) {
+    EXPECT_TRUE(gpusim::counters_equal(base_per_sm[sm], per_sm[sm]))
+        << "per-SM counters differ on SM " << sm << " at threads=" << threads
+        << "\nserial:\n"
+        << base_per_sm[sm].to_string() << "\nthreaded:\n"
+        << per_sm[sm].to_string();
+  }
 }
 
 /// The determinism contract between a serial baseline and an N-thread
@@ -85,29 +116,17 @@ void expect_thread_invariant(const SweepRun& base, const SweepRun& run,
     ASSERT_EQ(base.out_bits[i], run.out_bits[i])
         << "output word " << i << " differs at threads=" << threads;
   }
-  ASSERT_EQ(base.per_sm.size(), run.per_sm.size());
-  for (std::size_t sm = 0; sm < base.per_sm.size(); ++sm) {
-    EXPECT_TRUE(base.per_sm[sm].sm_local_equal(run.per_sm[sm]))
-        << "per-SM counters differ on SM " << sm << " at threads=" << threads
-        << "\nserial:\n"
-        << base.per_sm[sm].to_string() << "\nthreaded:\n"
-        << run.per_sm[sm].to_string();
-  }
-  EXPECT_TRUE(base.total.sm_local_equal(run.total))
-      << "merged SM-local counters differ at threads=" << threads;
-  // The L2 hit/miss *split* may shift under concurrent interleaving,
-  // but every L1 miss reaches the L2 exactly once, so the sum cannot.
-  EXPECT_EQ(base.total.l2_sector_hits + base.total.l2_sector_misses,
-            run.total.l2_sector_hits + run.total.l2_sector_misses);
+  expect_counters_thread_invariant(base.total, base.per_sm, run.total,
+                                   run.per_sm, threads);
+  EXPECT_EQ(base.cycles, run.cycles)
+      << "CostModel cycles differ at threads=" << threads;
 }
 
-/// Per-SM blocks must sum to the merged total on the SM-local fields.
+/// Per-SM blocks must sum to the merged total on every field.
 void expect_per_sm_sums_to_total(const SweepRun& run) {
   gpusim::KernelStats sum;
   for (const auto& sm : run.per_sm) sum += sm;
-  EXPECT_TRUE(sum.sm_local_equal(run.total));
-  EXPECT_EQ(sum.l2_sector_hits, run.total.l2_sector_hits);
-  EXPECT_EQ(sum.l2_sector_misses, run.total.l2_sector_misses);
+  EXPECT_TRUE(gpusim::counters_equal(sum, run.total));
 }
 
 TEST(EngineThreadSweep, SpmmBitExactAcrossThreadCounts) {
@@ -236,6 +255,196 @@ TEST(EngineThreadSweep, LowestThrowingCtaErrorWinsAtEveryThreadCount) {
   }
 }
 
+// ---------------------------------------------------------------------
+// L2 replay: launches whose L2 outcomes depend on the order CTAs on
+// different SMs touch shared lines.
+
+constexpr int kTableLines = 900;  ///< 112.5 KiB: overflows the small L2
+
+/// test_config() with a 64 KiB L2, so the shared-table traffic below
+/// evicts and the LRU order matters.
+gpusim::DeviceConfig small_l2_config() {
+  gpusim::DeviceConfig cfg = test_config();
+  cfg.l2_bytes = 64 << 10;
+  return cfg;
+}
+
+gpusim::LaunchConfig one_warp_launch(int grid) {
+  gpusim::LaunchConfig cfg;
+  cfg.grid = grid;
+  cfg.cta_threads = 32;
+  return cfg;
+}
+
+/// The shared table: kTableLines 128 B lines of distinct words.
+gpusim::Buffer<std::uint32_t> make_table(gpusim::Device& dev) {
+  auto table = dev.alloc<std::uint32_t>(kTableLines * 32, "table");
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table.host()[i] = static_cast<std::uint32_t>(i * 2654435761u);
+  }
+  return table;
+}
+
+/// Counters, CostModel cycles and output of one launch of the
+/// shared-table kernel: CTA c loads eight lines of `table` that CTAs on
+/// other SMs also load, and stores one line of its own.  CTA
+/// `throw_at` throws after its fourth load (-1: none throws).
+SweepRun run_shared_table(gpusim::Device& dev,
+                          const gpusim::Buffer<std::uint32_t>& table,
+                          int grid, int throw_at, int threads) {
+  auto out = dev.alloc<std::uint32_t>(static_cast<std::size_t>(grid) * 32,
+                                      "out");
+  SweepRun run;
+  const gpusim::LaunchConfig cfg = one_warp_launch(grid);
+  run.total = gpusim::launch(
+      dev, cfg,
+      [&](gpusim::Cta& cta) {
+        gpusim::Warp w = cta.warp(0);
+        gpusim::Lanes<std::uint32_t> v{};
+        gpusim::Lanes<std::uint32_t> acc{};
+        const auto c = static_cast<std::uint64_t>(cta.cta_id());
+        for (std::uint64_t k = 0; k < 8; ++k) {
+          // Four lines shared with the neighbouring CTAs (other SMs, so
+          // reused through the L2), four scattered ones (reused at
+          // distances near the L2's capacity, where LRU order decides).
+          const std::uint64_t line =
+              (k < 4 ? c + k : c * 37 + k * 101) % kTableLines;
+          w.ldg_span(table.addr(line * 32), 4, v);
+          for (std::size_t l = 0; l < 32; ++l) acc[l] += v[l];
+          if (k == 3 && cta.cta_id() == throw_at) {
+            throw std::runtime_error("shared-table cta failed");
+          }
+        }
+        w.stg_span(out.addr(c * 32), 4, acc);
+      },
+      gpusim::SimOptions{.threads = threads, .per_sm_stats = &run.per_sm});
+  run.cycles = gpusim::estimate_cost(dev.config(), cfg, run.total).cycles;
+  for (std::uint32_t word : out.host()) {
+    run.out_bits.push_back(static_cast<std::uint16_t>(word));
+    run.out_bits.push_back(static_cast<std::uint16_t>(word >> 16));
+  }
+  return run;
+}
+
+/// Counters of a launch that loads every table line once, in order: a
+/// probe of what the L2 holds.
+SweepRun probe_table(gpusim::Device& dev,
+                     const gpusim::Buffer<std::uint32_t>& table,
+                     int threads) {
+  SweepRun run;
+  const gpusim::LaunchConfig cfg = one_warp_launch(kTableLines);
+  run.total = gpusim::launch(
+      dev, cfg,
+      [&](gpusim::Cta& cta) {
+        gpusim::Lanes<std::uint32_t> v{};
+        cta.warp(0).ldg_span(
+            table.addr(static_cast<std::size_t>(cta.cta_id()) * 32), 4, v);
+      },
+      gpusim::SimOptions{.threads = threads, .per_sm_stats = &run.per_sm});
+  run.cycles = gpusim::estimate_cost(dev.config(), cfg, run.total).cycles;
+  return run;
+}
+
+TEST(EngineThreadSweep, LaunchOverThreeEpochsIsThreadInvariant) {
+  // 600 CTAs on 8 SMs run in three replay epochs (256 + 256 + 88).
+  constexpr int kGrid = 600;
+  static_assert(kGrid > 2 * gpusim::kEpochRounds * 8);
+  gpusim::Device dserial(small_l2_config());
+  const SweepRun serial =
+      run_shared_table(dserial, make_table(dserial), kGrid, -1, 1);
+  expect_per_sm_sums_to_total(serial);
+  // Shared lines are both filled and reused through the L2.
+  EXPECT_GT(serial.total.l2_sector_hits, 0u);
+  EXPECT_GT(serial.total.l2_sector_misses, 0u);
+  EXPECT_GT(serial.total.dram_read_bytes, 0u);
+  for (int threads : {2, 8}) {
+    gpusim::Device dev(small_l2_config());
+    const SweepRun threaded =
+        run_shared_table(dev, make_table(dev), kGrid, -1, threads);
+    expect_thread_invariant(serial, threaded, threads);
+    expect_per_sm_sums_to_total(threaded);
+  }
+}
+
+TEST(EngineThreadSweep, L2SeesEveryAccessInGlobalCtaOrder) {
+  // CTA c loads table lines c..c+7, so no SM loads a line twice (its
+  // CTAs are 8 apart) and every load misses the L1 and reaches the L2.
+  // A reference cache of the L2's geometry, fed those lines in global
+  // CTA order — the order the serial engine probed its L2 in — must
+  // reproduce each SM's L2 hits, misses and DRAM bytes at every thread
+  // count, over three replay epochs.
+  constexpr int kGrid = 600;
+  const gpusim::DeviceConfig hw = small_l2_config();
+  const auto line_of = [](int cta, int k) {
+    return static_cast<std::size_t>(cta + k) % kTableLines;
+  };
+  for (int threads : {1, 2, 8}) {
+    gpusim::Device dev(hw);
+    const auto table = make_table(dev);
+    std::vector<gpusim::KernelStats> per_sm;
+    gpusim::launch(
+        dev, one_warp_launch(kGrid),
+        [&](gpusim::Cta& cta) {
+          gpusim::Lanes<std::uint32_t> v{};
+          for (int k = 0; k < 8; ++k) {
+            cta.warp(0).ldg_span(table.addr(line_of(cta.cta_id(), k) * 32), 4,
+                                 v);
+          }
+        },
+        gpusim::SimOptions{.threads = threads, .per_sm_stats = &per_sm});
+
+    gpusim::SectorCache ref(hw.l2_bytes, hw.line_bytes, hw.sector_bytes,
+                            hw.l2_ways);
+    std::vector<gpusim::KernelStats> want(per_sm.size());
+    for (int cta = 0; cta < kGrid; ++cta) {
+      gpusim::KernelStats& w = want[static_cast<std::size_t>(cta % hw.num_sms)];
+      for (int k = 0; k < 8; ++k) {
+        const std::uint32_t hit_bits =
+            ref.access_line(table.addr(line_of(cta, k) * 32), 0xFu);
+        const auto hits = static_cast<std::uint64_t>(std::popcount(hit_bits));
+        w.l2_sector_hits += hits;
+        w.l2_sector_misses += 4 - hits;
+        w.dram_read_bytes += 32 * (4 - hits);
+      }
+    }
+    for (std::size_t sm = 0; sm < per_sm.size(); ++sm) {
+      EXPECT_EQ(per_sm[sm].l1_sector_hits, 0u) << "sm " << sm;
+      EXPECT_EQ(per_sm[sm].l2_sector_hits, want[sm].l2_sector_hits)
+          << "sm " << sm << " threads=" << threads;
+      EXPECT_EQ(per_sm[sm].l2_sector_misses, want[sm].l2_sector_misses)
+          << "sm " << sm << " threads=" << threads;
+      EXPECT_EQ(per_sm[sm].dram_read_bytes, want[sm].dram_read_bytes)
+          << "sm " << sm << " threads=" << threads;
+    }
+  }
+}
+
+TEST(EngineThreadSweep, AbortedLaunchLeavesTheSerialL2AtEveryThreadCount) {
+  // CTA 300 (second epoch, SM 4) throws halfway through its loads.  At
+  // threads > 1 the other SMs run past it to the end of the epoch, but
+  // the launch replays only CTAs 0..300 (300's partial log included),
+  // so a probe launch afterwards finds the L2 the serial path leaves.
+  constexpr int kGrid = 600;
+  constexpr int kThrowAt = 300;
+  std::vector<SweepRun> probes;
+  for (int threads : {1, 2, 8}) {
+    gpusim::Device dev(small_l2_config());
+    const auto table = make_table(dev);
+    EXPECT_THROW(run_shared_table(dev, table, kGrid, kThrowAt, threads),
+                 std::runtime_error);
+    probes.push_back(probe_table(dev, table, threads));
+  }
+  EXPECT_GT(probes[0].total.l2_sector_hits, 0u);
+  EXPECT_GT(probes[0].total.l2_sector_misses, 0u);
+  for (std::size_t i = 1; i < probes.size(); ++i) {
+    const int threads = i == 1 ? 2 : 8;
+    expect_counters_thread_invariant(probes[0].total, probes[0].per_sm,
+                                     probes[i].total, probes[i].per_sm,
+                                     threads);
+    EXPECT_EQ(probes[0].cycles, probes[i].cycles) << "threads=" << threads;
+  }
+}
+
 TEST(Scheduler, RoundRobinMatchesHistoricalAssignment) {
   gpusim::Scheduler sched(/*grid=*/19, /*num_sms=*/8);
   EXPECT_EQ(sched.num_active_sms(), 8);
@@ -266,55 +475,6 @@ TEST(Scheduler, SmallGridActivatesOnlyGridSms) {
   }
   EXPECT_EQ(sched.next_sm(), -1);
   EXPECT_EQ(sched.next_sm(), -1);
-}
-
-TEST(ShardedCache, SerialStreamMatchesSectorCacheForAnySliceCount) {
-  // The L2 slicing is counter-preserving: on a serial access stream
-  // the hit/miss outcome sequence is bit-identical to the unsliced
-  // model for every slice count, because the set mapping is unchanged
-  // and LRU order only ever compares lines within one set.
-  constexpr std::size_t kCapacity = 32 << 10;
-  constexpr int kLine = 128, kSector = 32, kWays = 4;
-
-  Rng rng(42);
-  std::vector<std::uint64_t> stream(20000);
-  for (auto& addr : stream) {
-    // ~4x the cache capacity so the stream forces evictions.
-    addr = static_cast<std::uint64_t>(rng.uniform_int(0, 4096)) * kSector;
-  }
-
-  gpusim::SectorCache ref(kCapacity, kLine, kSector, kWays);
-  std::vector<bool> want;
-  want.reserve(stream.size());
-  for (std::uint64_t addr : stream) want.push_back(ref.access(addr));
-
-  for (int slices : {1, 2, 7, 16}) {
-    gpusim::ShardedCache l2(kCapacity, kLine, kSector, kWays, slices);
-    EXPECT_EQ(l2.num_slices(), slices);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      ASSERT_EQ(l2.access(stream[i]), want[i])
-          << "access " << i << " with " << slices << " slices";
-    }
-  }
-}
-
-TEST(ShardedCache, InvalidateSectorMatchesSectorCache) {
-  constexpr std::size_t kCapacity = 8 << 10;
-  constexpr int kLine = 128, kSector = 32, kWays = 2;
-
-  Rng rng(5);
-  gpusim::SectorCache ref(kCapacity, kLine, kSector, kWays);
-  gpusim::ShardedCache l2(kCapacity, kLine, kSector, kWays, 7);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t addr =
-        static_cast<std::uint64_t>(rng.uniform_int(0, 512)) * kSector;
-    if (rng.uniform_int(0, 4) == 0) {
-      ref.invalidate_sector(addr);
-      l2.invalidate_sector(addr);
-    } else {
-      ASSERT_EQ(l2.access(addr), ref.access(addr)) << "access " << i;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -360,14 +520,10 @@ TEST(SpanCorpus, ThreadInvariantAndEqualToPerLaneAtEveryThreadCount) {
     const auto lane = run_span_corpus(dlane, false, {.threads = threads});
     expect_corpus_equal(span, lane, "threaded");
     // The span run itself honors the engine determinism contract:
-    // outputs and per-SM counters bit-equal to the serial run.
+    // outputs and every counter bit-equal to the serial run.
     ASSERT_EQ(base.dst_bits, span.dst_bits) << "threads=" << threads;
-    ASSERT_EQ(base.per_sm.size(), span.per_sm.size());
-    for (std::size_t sm = 0; sm < base.per_sm.size(); ++sm) {
-      EXPECT_TRUE(base.per_sm[sm].sm_local_equal(span.per_sm[sm]))
-          << "per-SM counters differ on SM " << sm << " at threads="
-          << threads;
-    }
+    expect_counters_thread_invariant(base.total, base.per_sm, span.total,
+                                     span.per_sm, threads);
   }
 }
 
@@ -376,7 +532,7 @@ TEST(SpanCorpus, EquivalentUnderFaultInjection) {
   // forces every span op to divert onto the per-lane path; results and
   // counters must still match the hand-expanded run under the same
   // plan.
-  const auto run_faulted = [&](bool use_span) {
+  const auto run_faulted = [&](bool use_span, int threads) {
     gpusim::Device dev(test_config());
     gpusim::FaultPlan plan(7);
     gpusim::FaultTarget t;
@@ -393,15 +549,22 @@ TEST(SpanCorpus, EquivalentUnderFaultInjection) {
     t.sticky = true;
     plan.add_target(t);
     dev.set_fault_plan(&plan);
-    return run_span_corpus(dev, use_span, {.threads = 1});
+    return run_span_corpus(dev, use_span, {.threads = threads});
   };
-  const auto span = run_faulted(true);
-  const auto lane = run_faulted(false);
+  const auto span = run_faulted(true, 1);
+  const auto lane = run_faulted(false, 1);
   expect_corpus_equal(span, lane, "faulted");
   // The upset must actually have landed (the corpus reads half #40).
   gpusim::Device clean(test_config());
   const auto unfaulted = run_span_corpus(clean, true, {.threads = 1});
   EXPECT_NE(span.dst_bits, unfaulted.dst_bits);
+  // Faulted runs are thread-invariant too, every counter included.
+  for (int threads : {2, 8}) {
+    const auto threaded = run_faulted(true, threads);
+    ASSERT_EQ(span.dst_bits, threaded.dst_bits) << "threads=" << threads;
+    expect_counters_thread_invariant(span.total, span.per_sm, threaded.total,
+                                     threaded.per_sm, threads);
+  }
 }
 
 }  // namespace

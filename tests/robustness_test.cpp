@@ -227,6 +227,24 @@ TEST(EngineUnwind, WorkerAndCallerThrowsLeavePoolReusable) {
   }
 }
 
+// ---- device configuration guards -------------------------------------
+
+TEST(DeviceGuards, UnmodelledSectorSizeRejected) {
+  // The warp ops count 32 B sectors; a 64 B-sector config would make
+  // the per-lane and span paths disagree, so the Device refuses it.
+  gpusim::DeviceConfig cfg = test_config();
+  cfg.sector_bytes = 64;
+  EXPECT_THROW(gpusim::Device dev(cfg), CheckError);
+}
+
+TEST(DeviceGuards, ArenaBeyondTheL2LogRejected) {
+  // 128 B lines leave 27 bits of line index in a 32-bit L2 log entry:
+  // 16 GiB of arena.  The check runs before the arena is allocated.
+  gpusim::DeviceConfig cfg = test_config();
+  cfg.dram_capacity = std::size_t{32} << 30;
+  EXPECT_THROW(gpusim::Device dev(cfg), CheckError);
+}
+
 // ---- allocator guards ------------------------------------------------
 
 TEST(AllocGuards, ElementCountTimesSizeOverflowRejected) {

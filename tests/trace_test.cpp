@@ -139,6 +139,7 @@ TEST(Trace, MergedTraceIdenticalAcrossThreadCounts) {
   struct Run {
     std::vector<TraceEvent> events;
     std::string perfetto;
+    std::string metrics;
   };
   const auto run_with = [&](int threads) {
     Device dev(test_config(8));
@@ -152,7 +153,8 @@ TEST(Trace, MergedTraceIdenticalAcrossThreadCounts) {
     options.sim.trace.sink = &trace;
     options.sim.trace.sample_ops = 256;  // sampling must be thread-invariant
     kernels::spmm(dev, da, db, dc, options);
-    return Run{trace.launches().at(0).events, perfetto_json(trace)};
+    return Run{trace.launches().at(0).events, perfetto_json(trace),
+               metrics_json(trace)};
   };
 
   const Run serial = run_with(1);
@@ -163,6 +165,9 @@ TEST(Trace, MergedTraceIdenticalAcrossThreadCounts) {
         << "merged event stream differs at threads=" << threads;
     EXPECT_EQ(serial.perfetto, threaded.perfetto)
         << "Perfetto export differs at threads=" << threads;
+    // metrics.json embeds every counter, the L2/DRAM ones included.
+    EXPECT_EQ(serial.metrics, threaded.metrics)
+        << "metrics export differs at threads=" << threads;
   }
 }
 
