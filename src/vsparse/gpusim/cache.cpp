@@ -5,10 +5,8 @@
 
 namespace vsparse::gpusim {
 
-namespace detail {
-
-SetArray::SetArray(std::size_t capacity_bytes, int line_bytes,
-                   int sector_bytes, int ways)
+SectorCache::SectorCache(std::size_t capacity_bytes, int line_bytes,
+                         int sector_bytes, int ways)
     : line_bytes_(line_bytes),
       sector_bytes_(sector_bytes),
       line_shift_(std::countr_zero(static_cast<unsigned>(line_bytes))),
@@ -32,12 +30,11 @@ SetArray::SetArray(std::size_t capacity_bytes, int line_bytes,
   lru_.assign(lines, 0);
 }
 
-void SetArray::flush() {
+void SectorCache::flush() {
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   std::fill(valid_.begin(), valid_.end(), 0u);
   std::fill(lru_.begin(), lru_.end(), std::uint64_t{0});
+  tick_ = 0;
 }
-
-}  // namespace detail
 
 }  // namespace vsparse::gpusim

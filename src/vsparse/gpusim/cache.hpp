@@ -10,12 +10,16 @@
 //
 // One class, SectorCache, models both levels and is unsynchronized:
 //   * each SM's private L1 is touched only by the thread running that
-//     SM's CTAs;
+//     SM's CTAs, through the warp ops' one line batcher
+//     (engine/warp_ops.hpp);
 //   * the device-wide L2 is never probed from the CTA hot path.  SMs
 //     log their L2 accesses and the launching thread replays the logs
 //     in global CTA order under the Device's L2 mutex
 //     (engine/launch.hpp), so every L2 outcome is independent of the
 //     host thread count.
+// Both levels are driven a line at a time (access_line /
+// invalidate_line); the per-sector access() is the reference form the
+// batched probe is defined against.
 #pragma once
 
 #include <bit>
@@ -27,49 +31,48 @@
 
 namespace vsparse::gpusim {
 
-namespace detail {
-
-/// Geometry plus the tag/sector/LRU state behind SectorCache.  Not
-/// synchronized.
-class SetArray {
+/// Single-owner cache: an SM's private L1, or the Device's L2 (driven
+/// only by the launch replay, under the Device's L2 mutex).  Not
+/// thread-safe.  One LRU clock per cache: LRU only ever compares the
+/// stamps of one set, so any clock that is monotone in access order
+/// picks the same victims.
+class SectorCache {
  public:
   /// capacity/line/sector in bytes; capacity must be a multiple of
   /// (ways * line_bytes) and line_bytes a power-of-two multiple of
   /// sector_bytes.
-  SetArray(std::size_t capacity_bytes, int line_bytes, int sector_bytes,
-           int ways);
+  SectorCache(std::size_t capacity_bytes, int line_bytes, int sector_bytes,
+              int ways);
 
-  /// Access one sector (sector-aligned address) stamping LRU with
-  /// `tick`.  Returns true on hit; on miss the sector is filled
-  /// (evicting the LRU line of the set if the line was not resident).
-  /// Kept inline: this is the single hottest call in the simulator
-  /// (every unique sector of every warp memory op walks it).
-  bool access(std::uint64_t sector_addr, std::uint64_t tick) {
+  /// Access one sector.  `sector_addr` must be sector-aligned.
+  /// Returns true on hit; on miss the sector is filled (evicting the
+  /// LRU line of the set if the line was not resident).
+  bool access(std::uint64_t sector_addr) {
     VSPARSE_DCHECK(sector_addr % static_cast<std::uint64_t>(sector_bytes_) ==
                    0);
-    return access_line(sector_addr >> line_shift_, sector_bit(sector_addr),
-                       tick) != 0;
-  }
-
-  /// Invalidate one sector if resident (store coherence).
-  void invalidate_sector(std::uint64_t sector_addr) {
-    invalidate_line(sector_addr >> line_shift_, sector_bit(sector_addr));
+    return access_line(sector_addr & ~line_mask(),
+                       sector_bit(sector_addr)) != 0;
   }
 
   /// Batched form: access every sector in `sector_bits` (bit i = sector
-  /// i of the line at `line_addr`), advancing the LRU clock by the
-  /// popcount.  Returns the subset of bits that hit.  Equivalent to
-  /// issuing the sectors one at a time in ascending order: all accesses
-  /// target the same line, so the per-sector walk would find the line
-  /// resident after the first touch, accumulate the same valid bits,
-  /// and leave lru at the final tick — exactly what one probe does.
-  std::uint32_t access_line(std::uint64_t line_addr,
-                            std::uint32_t sector_bits, std::uint64_t tick) {
+  /// i) of the line at `line_base` (a line-aligned byte address),
+  /// advancing the LRU clock by the popcount.  Returns the subset of
+  /// bits that hit.  Equivalent to issuing the sectors one at a time in
+  /// ascending order: all accesses target the same line, so the
+  /// per-sector walk would find the line resident after the first
+  /// touch, accumulate the same valid bits, and leave lru at the final
+  /// tick — exactly what one probe does.  Kept inline: this is the
+  /// single hottest call in the simulator (every line run of every
+  /// warp memory op walks it).
+  std::uint32_t access_line(std::uint64_t line_base,
+                            std::uint32_t sector_bits) {
+    tick_ += static_cast<std::uint64_t>(std::popcount(sector_bits));
+    const std::uint64_t line_addr = line_base >> line_shift_;
     const std::size_t base =
         set_index(line_addr) * static_cast<std::size_t>(ways_);
     const int w = find_way(line_addr, base);
     if (w >= 0) {
-      lru_[base + w] = tick;
+      lru_[base + w] = tick_;
       const std::uint32_t hits = valid_[base + w] & sector_bits;
       valid_[base + w] |= sector_bits;
       return hits;
@@ -80,12 +83,14 @@ class SetArray {
     }
     tags_[victim] = line_addr;
     valid_[victim] = sector_bits;
-    lru_[victim] = tick;
+    lru_[victim] = tick_;
     return 0;
   }
 
-  /// Batched invalidate of every sector in `sector_bits` of one line.
-  void invalidate_line(std::uint64_t line_addr, std::uint32_t sector_bits) {
+  /// Batched invalidate (store coherence) of every sector in
+  /// `sector_bits` of the line at `line_base`, if resident.
+  void invalidate_line(std::uint64_t line_base, std::uint32_t sector_bits) {
+    const std::uint64_t line_addr = line_base >> line_shift_;
     const std::size_t base =
         set_index(line_addr) * static_cast<std::size_t>(ways_);
     if (const int w = find_way(line_addr, base); w >= 0) {
@@ -97,7 +102,25 @@ class SetArray {
   /// Drop all contents.
   void flush();
 
-  /// Set index of a line address (XOR-folded hash, divide-free).
+  int num_sets() const { return sets_; }
+  int ways() const { return ways_; }
+  int line_bytes() const { return line_bytes_; }
+  int sector_bytes() const { return sector_bytes_; }
+
+ private:
+  static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
+
+  std::uint64_t line_mask() const {
+    return static_cast<std::uint64_t>(line_bytes_) - 1;
+  }
+
+  /// Bit of `sector_addr`'s sector within its line.
+  std::uint32_t sector_bit(std::uint64_t sector_addr) const {
+    return 1u << ((sector_addr >> sector_shift_) &
+                  static_cast<std::uint64_t>(sectors_per_line_ - 1));
+  }
+
+  /// Set index of a line index (XOR-folded hash, divide-free).
   std::size_t set_index(std::uint64_t line_addr) const {
     // XOR-folded set hashing, as GPU caches use: without it, power-of-two
     // strides (e.g. the 512 B row stride of a 256-column half matrix)
@@ -123,21 +146,6 @@ class SetArray {
     return static_cast<std::size_t>(h % static_cast<std::uint64_t>(sets_));
   }
 
-  int num_sets() const { return sets_; }
-  int ways() const { return ways_; }
-  int line_bytes() const { return line_bytes_; }
-  int line_shift() const { return line_shift_; }
-  int sector_bytes() const { return sector_bytes_; }
-
- private:
-  static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
-
-  /// Bit of `sector_addr`'s sector within its line.
-  std::uint32_t sector_bit(std::uint64_t sector_addr) const {
-    return 1u << ((sector_addr >> sector_shift_) &
-                  static_cast<std::uint64_t>(sectors_per_line_ - 1));
-  }
-
   /// Way index of `line_addr` within the set whose ways begin at flat
   /// index `base`, or -1.  Tags live in their own dense array so the
   /// scan reads 8 B per way: a 16-way L2 set spans two host cache
@@ -158,66 +166,11 @@ class SetArray {
   int sets_;
   std::uint64_t sets_mask_ = 0;   ///< sets_ - 1 when sets_ is a power of two
   std::uint64_t sets_magic_ = 0;  ///< ceil(2^64 / sets_) for the Lemire path
+  std::uint64_t tick_ = 0;        ///< LRU clock
   // sets_ * ways_ entries each, set-major, structure-of-arrays.
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint32_t> valid_;  ///< bit i = sector i resident
   std::vector<std::uint64_t> lru_;    ///< last-touch tick
-};
-
-}  // namespace detail
-
-/// Single-owner cache: an SM's private L1, or the Device's L2 (driven
-/// only by the launch replay, under the Device's L2 mutex).  Not
-/// thread-safe.  One LRU clock per cache: LRU only ever compares the
-/// stamps of one set, so any clock that is monotone in access order
-/// picks the same victims.
-class SectorCache {
- public:
-  SectorCache(std::size_t capacity_bytes, int line_bytes, int sector_bytes,
-              int ways)
-      : array_(capacity_bytes, line_bytes, sector_bytes, ways) {}
-
-  /// Access one sector.  `sector_addr` must be sector-aligned.
-  /// Returns true on hit; on miss the sector is filled (evicting the
-  /// LRU line of the set if the line was not resident).
-  bool access(std::uint64_t sector_addr) {
-    return array_.access(sector_addr, ++tick_);
-  }
-
-  /// Invalidate one sector if resident (used for store coherence).
-  void invalidate_sector(std::uint64_t sector_addr) {
-    array_.invalidate_sector(sector_addr);
-  }
-
-  /// Batched line access (see SetArray::access_line): accesses every
-  /// sector in `sector_bits` of the line containing `line_base` (a
-  /// line-aligned byte address) and returns the hit subset.
-  std::uint32_t access_line(std::uint64_t line_base,
-                            std::uint32_t sector_bits) {
-    tick_ += static_cast<std::uint64_t>(std::popcount(sector_bits));
-    return array_.access_line(line_base >> array_.line_shift(), sector_bits,
-                              tick_);
-  }
-
-  /// Batched line invalidate (store coherence).
-  void invalidate_line(std::uint64_t line_base, std::uint32_t sector_bits) {
-    array_.invalidate_line(line_base >> array_.line_shift(), sector_bits);
-  }
-
-  /// Drop all contents.
-  void flush() {
-    array_.flush();
-    tick_ = 0;
-  }
-
-  int num_sets() const { return array_.num_sets(); }
-  int ways() const { return array_.ways(); }
-  int line_bytes() const { return array_.line_bytes(); }
-  int sector_bytes() const { return array_.sector_bytes(); }
-
- private:
-  detail::SetArray array_;
-  std::uint64_t tick_ = 0;
 };
 
 }  // namespace vsparse::gpusim

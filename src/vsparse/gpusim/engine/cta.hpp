@@ -47,20 +47,21 @@ struct MmaFlags {
 ///    lanes split into `segs` consecutive segments of `width` lanes
 ///    each (`segs * width <= 32`), and lane `l = seg*width + t`
 ///    addresses `seg_base[seg] + t*stride`.  *Uniform* is `stride == 0`;
-///    pure *affine* is one segment.  The engine services each segment
-///    with one hull translation / bounds check and closed-form (or
-///    compare-with-previous) sector and bank-conflict accounting —
-///    O(segs) consultations instead of O(32).
+///    pure *affine* is one segment.  The engine services each run of
+///    active lanes with one hull translation / bounds check, an
+///    interval sector walk and closed-form (or scanned) bank-conflict
+///    accounting — O(segs) consultations instead of O(32).
 ///
 /// Span ops are counter- and bit-exact with their per-lane forms by
 /// construction (DESIGN.md §2h gives the equivalence argument), and
-/// they *self-divert*: when a sanitizer or fault plan is attached — or
-/// a shared-memory hull check fails and per-lane reporting is owed —
-/// the span op expands its descriptor into lane arrays and runs the
-/// per-lane path, so the slow diagnostic surfaces see exactly the
-/// per-lane access sequence.  Kernels should state patterns with span
-/// ops and reserve hand-built lane arrays for genuinely divergent
-/// accesses.
+/// they *self-divert*: when a sanitizer or fault plan is attached, a
+/// global span is not one contiguous lane run per segment with a stride
+/// of at most 32 B, or a shared-memory hull check fails and per-lane
+/// reporting is owed, the span op expands its descriptor into lane
+/// arrays and runs the per-lane path, so the slow diagnostic surfaces
+/// see exactly the per-lane access sequence.  Kernels should state
+/// patterns with span ops and reserve hand-built lane arrays for
+/// genuinely divergent accesses.
 class Warp {
  public:
   Warp(Cta* cta, int warp_id) : cta_(cta), warp_id_(warp_id) {}
@@ -97,8 +98,8 @@ class Warp {
 
   /// Span global load: lane `l = seg*width + t` (t < width, seg < segs)
   /// reads sizeof(V) bytes from `seg_base[seg] + t*stride`.  One hull
-  /// translation and one monotone sector walk per segment replace the 32
-  /// per-lane ones; counters match `ldg` on the expanded addresses
+  /// translation and one interval sector walk per segment replace the
+  /// 32 per-lane ones; counters match `ldg` on the expanded addresses
   /// bit-for-bit (see the class comment for the full contract).
   template <class V>
   void ldg_span(const std::uint64_t* seg_base, int segs, int width,

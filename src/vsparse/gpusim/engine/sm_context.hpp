@@ -4,9 +4,11 @@
 // perform — and is only ever touched by the single host thread that
 // executes that SM's CTA list, so nothing here needs synchronization.
 // The only state the warp ops share across SMs is the Device's DRAM
-// arena (disjoint addresses per CTA, like real hardware).  L2 accesses
-// go to this SM's L2Log; the launching thread replays the logs into the
-// Device's L2 in CTA order (engine/launch.hpp).
+// arena (disjoint addresses per CTA, like real hardware).  The warp
+// ops' line batcher (engine/warp_ops.hpp) is the only code that touches
+// this SM's L1 and L2Log: one probe or invalidate and one log entry per
+// run of adjacent same-line sectors.  The launching thread replays the
+// logs into the Device's L2 in CTA order (engine/launch.hpp).
 //
 // Each SmContext is aligned to a host cache line: a worker writes its
 // SM's counters and watchdog on every op, and unaligned neighbours in
@@ -46,18 +48,14 @@ class L2Log {
   void begin_cta() { cta_begin_.push_back(entries_.size()); }
 
   /// Log an access to the sectors `sectors` of the line at `line_base`
-  /// (a line-aligned byte address): a load, or a store if `store`.
+  /// (a line-aligned byte address): a load, or a store if `store`.  The
+  /// warp ops' line batcher is the only caller: one entry per run of
+  /// adjacent same-line sectors of one request.
   void line(std::uint64_t line_base, std::uint32_t sectors, bool store) {
     VSPARSE_DCHECK((line_base & line_mask_) == 0 && sectors != 0);
     entries_.push_back(
         static_cast<std::uint32_t>((line_base >> line_shift_) << index_shift_) |
         (sectors << 1) | (store ? 1u : 0u));
-  }
-
-  /// Log an access to the single 32 B sector at `sector_addr`.
-  void sector(std::uint64_t sector_addr, bool store) {
-    line(sector_addr & ~line_mask_, 1u << ((sector_addr & line_mask_) >> 5),
-         store);
   }
 
   /// Replay the `slot`-th CTA logged since clear() into `l2`, in issue

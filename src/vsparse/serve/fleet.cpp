@@ -30,8 +30,8 @@ void make_integer_values(std::vector<half_t>& values, std::uint64_t seed) {
   }
 }
 
-/// Service ticks of one completed kernel run — SM-local counters only
-/// (never the L2 split or DRAM bytes, which vary at --threads>1).
+/// Service ticks of one completed kernel run: its instructions, L1
+/// missed sectors and shared-memory wavefronts.
 std::uint64_t service_of_run(const kernels::KernelRun& run) {
   const gpusim::KernelStats& s = run.stats;
   return s.total_instructions() + 4 * s.l1_sector_misses + s.smem_wavefronts;

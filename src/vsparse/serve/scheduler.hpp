@@ -7,11 +7,10 @@
 //
 // Time is a deterministic simulated clock (ticks).  Arrivals follow
 // seeded inter-arrival gaps; service time is charged from a fixed
-// model over *SM-local* engine counters (instructions, L1 missed
-// sectors, shared-memory wavefronts — never the L2/DRAM split, which
-// legitimately varies at --threads>1) plus the supervisor's recorded
-// backoff cycles.  Same seed + config => byte-identical load report at
-// any thread count.
+// model over three engine counters (instructions, L1 missed sectors,
+// shared-memory wavefronts) plus the supervisor's recorded backoff
+// cycles.  Same seed + config => byte-identical load report at any
+// thread count.
 //
 // The control loop per step:
 //

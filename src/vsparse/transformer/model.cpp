@@ -13,33 +13,11 @@ namespace vsparse::transformer {
 
 namespace {
 
-/// Accumulate `run`'s counters and model cycles into a result bucket,
-/// scaled by `mult` identical executions (heads x batch).
+/// Accumulate `run`'s model cycles into a result bucket, scaled by
+/// `mult` identical executions (heads x batch).
 void add_run(const kernels::KernelRun& run, const gpusim::DeviceConfig& hw,
-             const gpusim::CostParams& params, double mult, double& bucket,
-             gpusim::KernelStats& total) {
+             const gpusim::CostParams& params, double mult, double& bucket) {
   bucket += run.cycles(hw, params) * mult;
-  gpusim::KernelStats scaled = run.stats;
-  const auto m = static_cast<std::uint64_t>(mult);
-  for (auto& op : scaled.ops) op *= m;
-  scaled.global_load_sectors *= m;
-  scaled.global_load_requests *= m;
-  scaled.global_store_requests *= m;
-  scaled.global_store_sectors *= m;
-  scaled.l1_sector_hits *= m;
-  scaled.l1_sector_misses *= m;
-  scaled.l2_sector_hits *= m;
-  scaled.l2_sector_misses *= m;
-  scaled.dram_read_bytes *= m;
-  scaled.dram_write_bytes *= m;
-  scaled.smem_load_requests *= m;
-  scaled.smem_store_requests *= m;
-  scaled.smem_load_bytes *= m;
-  scaled.smem_store_bytes *= m;
-  scaled.smem_wavefronts *= m;
-  scaled.ctas_launched *= m;
-  scaled.warps_launched *= m;
-  total += scaled;
 }
 
 template <class T>
@@ -112,7 +90,7 @@ ForwardResult run_transformer_forward(gpusim::Device& dev,
       DenseDevice<half_t> dc{c.h, c.rows, c.cols, c.cols, Layout::kRowMajor};
       run = kernels::hgemm_tcu(dev, da, dw, dc);
     }
-    add_run(run, hw, params, mult, res.other_cycles, res.stats);
+    add_run(run, hw, params, mult, res.other_cycles);
   };
 
   // ---- allocations (reused across layers, like framework workspaces) --
@@ -206,10 +184,9 @@ ForwardResult run_transformer_forward(gpusim::Device& dev,
                              Layout::kRowMajor};
       AttentionBreakdown br =
           sparse_attention_head(dev, qh, kh, vh, mask, sparse_scores[0], oh);
-      add_run(br.qk, hw, params, per_head_batch, res.qk_cycles, res.stats);
-      add_run(br.softmax, hw, params, per_head_batch, res.softmax_cycles,
-              res.stats);
-      add_run(br.av, hw, params, per_head_batch, res.av_cycles, res.stats);
+      add_run(br.qk, hw, params, per_head_batch, res.qk_cycles);
+      add_run(br.softmax, hw, params, per_head_batch, res.softmax_cycles);
+      add_run(br.av, hw, params, per_head_batch, res.av_cycles);
     } else if (cfg.mode == Mode::kDenseHalf) {
       DenseDevice<half_t> qh{q_act.h, seq, cfg.head_dim, d,
                              Layout::kRowMajor};
@@ -223,10 +200,9 @@ ForwardResult run_transformer_forward(gpusim::Device& dev,
                                  Layout::kRowMajor};
       AttentionBreakdown br =
           dense_attention_head(dev, qh, kh, vh, scores, oh);
-      add_run(br.qk, hw, params, per_head_batch, res.qk_cycles, res.stats);
-      add_run(br.softmax, hw, params, per_head_batch, res.softmax_cycles,
-              res.stats);
-      add_run(br.av, hw, params, per_head_batch, res.av_cycles, res.stats);
+      add_run(br.qk, hw, params, per_head_batch, res.qk_cycles);
+      add_run(br.softmax, hw, params, per_head_batch, res.softmax_cycles);
+      add_run(br.av, hw, params, per_head_batch, res.av_cycles);
     } else {
       // Dense fp32: QKᵀ and AV with sgemm, fp32 softmax.
       DenseDevice<float> qh{q_act.f, seq, cfg.head_dim, d, Layout::kRowMajor};
@@ -239,11 +215,11 @@ ForwardResult run_transformer_forward(gpusim::Device& dev,
       DenseDevice<float> kt{kh.buf, cfg.head_dim, seq, kh.ld,
                             Layout::kColMajor};
       kernels::KernelRun qk = kernels::sgemm_fpu(dev, qh, kt, scores);
-      add_run(qk, hw, params, per_head_batch, res.qk_cycles, res.stats);
+      add_run(qk, hw, params, per_head_batch, res.qk_cycles);
       kernels::KernelRun sm = kernels::dense_softmax_f32(dev, scores, scale);
-      add_run(sm, hw, params, per_head_batch, res.softmax_cycles, res.stats);
+      add_run(sm, hw, params, per_head_batch, res.softmax_cycles);
       kernels::KernelRun av = kernels::sgemm_fpu(dev, scores, vh, oh);
-      add_run(av, hw, params, per_head_batch, res.av_cycles, res.stats);
+      add_run(av, hw, params, per_head_batch, res.av_cycles);
     }
 
     // Output projection + FFN.

@@ -55,7 +55,6 @@ struct ForwardResult {
   double other_cycles = 0;    ///< projections + FFN
 
   std::size_t peak_memory_bytes = 0;
-  gpusim::KernelStats stats;  ///< aggregated hardware counters
 
   double total_cycles() const {
     return qk_cycles + softmax_cycles + av_cycles + other_cycles;

@@ -66,7 +66,7 @@ TEST(SectorCache, InvalidateSector) {
   SectorCache c = tiny_cache();
   c.access(0);
   c.access(32);
-  c.invalidate_sector(0);
+  c.invalidate_line(0, 0b1);  // sector 0 of line 0
   EXPECT_FALSE(c.access(0));   // invalidated
   EXPECT_TRUE(c.access(32));   // sibling sector untouched
 }
@@ -74,7 +74,7 @@ TEST(SectorCache, InvalidateSector) {
 TEST(SectorCache, InvalidateLastSectorFreesLine) {
   SectorCache c = tiny_cache();
   c.access(0);
-  c.invalidate_sector(0);
+  c.invalidate_line(0, 0b1);  // sector 0 of line 0
   // Line should be reusable without evicting another way: fill both
   // ways of set 0 and verify both stay resident.
   EXPECT_FALSE(c.access(256));
