@@ -4,6 +4,8 @@
 // (host wall-clock), complementing the model-cycle figure benches.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/gpusim/cache.hpp"
@@ -216,6 +218,39 @@ void BM_SpanSmemRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_SpanSmemRoundTrip);
+
+// The B-fragment gather of Blocked-ELL and the dense GEMM: eight 4-lane
+// segments, one per B row (rows 256 B apart, clamped at blk - 1 as
+// Blocked-ELL clamps them), lanes 16 B apart, cycling through the four
+// 32-column tiles and both 8-row passes.  Rows share their banks, so
+// the bank scan sees blk distinct words per bank (at most 8).
+void BM_SpanLdsSegmented8x4(benchmark::State& state) {
+  const int blk = static_cast<int>(state.range(0));
+  gpusim::DeviceConfig cfg;
+  cfg.dram_capacity = 1 << 20;
+  gpusim::Device dev(cfg);
+  gpusim::LaunchConfig lcfg;
+  lcfg.smem_bytes = 16 * 256;
+  for (auto _ : state) {
+    gpusim::launch(dev, lcfg, [&](gpusim::Cta& cta) {
+      gpusim::Warp w = cta.warp(0);
+      gpusim::Lanes<half8> dst;
+      for (int rep = 0; rep < 64; ++rep) {
+        const int ct = rep % 4;
+        const int pass = (rep / 4) % 2;
+        std::uint32_t off[8];
+        for (int seg = 0; seg < 8; ++seg) {
+          off[seg] = static_cast<std::uint32_t>(
+              std::min(8 * pass + seg, blk - 1) * 256 + 64 * ct);
+        }
+        w.lds_span(off, 8, 4, 16, dst);
+      }
+      benchmark::DoNotOptimize(dst);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_SpanLdsSegmented8x4)->Arg(2)->Arg(16);
 
 void BM_MakeCvs(benchmark::State& state) {
   Rng rng(5);

@@ -169,8 +169,13 @@ class Warp {
   /// larger accumulator tile.  Rows past `rows` are skipped entirely —
   /// bit-identical to running the [8][32] form on zero-padded A rows
   /// and discarding the padded output rows, without the staging copies.
+  /// `k_extent` (1..16) is how many k-rows carry data: A columns and B
+  /// rows past it must be +0, and the host neither widens nor
+  /// multiplies them (bit-identical, see tensorcore.cpp).  The call
+  /// still charges all 16 HMMA steps, and under a fault plan it
+  /// multiplies all 16 rows, since an upset may land in the padding.
   void wmma_m8n32k16(const half_t (&a)[8][16], const half_t (&b)[16][32],
-                     float* const (&c_rows)[8], int rows);
+                     float* const (&c_rows)[8], int rows, int k_extent);
 
   /// Warp shuffle: dst[lane] = src[srclane[lane]] for active lanes.
   template <class T>
@@ -266,7 +271,7 @@ inline Device& Warp::device() { return cta_->device(); }
 inline SmContext& Warp::sm() { return cta_->sm(); }
 inline int Warp::sm_id() const { return cta_->sm_id(); }
 
-inline void Warp::count(Op op, std::uint64_t n) {
+VSPARSE_ALWAYS_INLINE void Warp::count(Op op, std::uint64_t n) {
   stats().op(op) += n;
   sm().watchdog_tick(n);
   if (SmTrace* t = sm().trace()) [[unlikely]] {

@@ -271,21 +271,39 @@ inline constexpr std::uint64_t kSmemWidthFactor =
 /// lane's word: lanes whose first 4 B word maps to the same bank but a
 /// *different* word serialize; the same word broadcasts.  Counts the
 /// distinct words per bank (approximate: each lane's first word stands
-/// for its whole access).
+/// for its whole access).  A word is compared only with the earlier
+/// distinct words of its own bank, kept as one chain per bank, so a
+/// request costs the sum over banks of (distinct words)² / 2 compares,
+/// not (active lanes)² / 2; only `occupied_` needs initializing.
 class BankScan {
  public:
   void add(std::uint32_t word) {
-    for (int i = 0; i < n_; ++i) {
-      if (words_[i] == word) return;
+    const std::uint32_t bank = word % 32;
+    const std::uint32_t bit = 1u << bank;
+    std::int8_t next = -1;
+    if (occupied_ & bit) {
+      for (int i = head_[bank]; i >= 0; i = next_[i]) {
+        if (words_[i] == word) return;
+      }
+      next = head_[bank];
+      ++bank_count_[bank];
+    } else {
+      occupied_ |= bit;
+      bank_count_[bank] = 1;
     }
-    words_[n_++] = word;
-    degree_ = std::max(degree_, ++bank_count_[word % 32]);
+    words_[n_] = word;
+    next_[n_] = next;
+    head_[bank] = static_cast<std::int8_t>(n_++);
+    degree_ = std::max(degree_, static_cast<int>(bank_count_[bank]));
   }
   int degree() const { return degree_; }
 
  private:
   std::uint32_t words_[32];
-  int bank_count_[32] = {};
+  std::int8_t next_[32];        ///< previous distinct word of the same bank
+  std::int8_t head_[32];        ///< latest distinct word of each bank
+  std::int8_t bank_count_[32];  ///< distinct words per bank
+  std::uint32_t occupied_ = 0;  ///< banks with at least one word
   int n_ = 0;
   int degree_ = 1;
 };

@@ -103,14 +103,16 @@ void Warp::wmma_m8n32k16(const half_t (&a)[8][16],
                          const half_t (&b)[16][32], float (&c)[8][32]) {
   float* rows[8];
   for (int i = 0; i < 8; ++i) rows[i] = c[i];
-  wmma_m8n32k16(a, b, rows, 8);
+  wmma_m8n32k16(a, b, rows, 8, 16);
 }
 
 void Warp::wmma_m8n32k16(const half_t (&a)[8][16],
                          const half_t (&b)[16][32],
-                         float* const (&c_rows)[8], int rows) {
+                         float* const (&c_rows)[8], int rows, int k_extent) {
+  VSPARSE_DCHECK(rows >= 0 && rows <= 8 && k_extent >= 1 && k_extent <= 16);
   // (8*32*16) MACs / (8*4*4 per HMMA.884 step * 4 octets / 4 steps):
-  // the hardware instruction decomposes into 16 HMMA steps.
+  // the hardware instruction decomposes into 16 HMMA steps, whatever
+  // the k-extent — padding k to 16 is the §3.2 waste the model charges.
   count(Op::kHmma, 16);
   const half_t(*ea)[16] = a;
   const half_t(*eb)[32] = b;
@@ -118,26 +120,35 @@ void Warp::wmma_m8n32k16(const half_t (&a)[8][16],
   if (FaultState* faults = sm().faults(); faults != nullptr)
       [[unlikely]] {
     // Register-fragment upset on local operand copies (see mma_m8n8k4).
+    // The upset may land in the zero padding, so multiply all 16 rows.
     std::memcpy(fa, a, sizeof(fa));
     std::memcpy(fb, b, sizeof(fb));
     faults->on_mma_frags(fa, sizeof(fa), fb, sizeof(fb), stats());
     ea = fa;
     eb = fb;
+    k_extent = 16;
   }
   // Widen both tiles once (exact, see mma_m8n8k4), then accumulate with
   // the i/k/j loop order so the j loop vectorizes.  Each c[i][j] still
   // receives sum_{k} a[i][k]*b[k][j] folded over ascending k into a
   // zero-initialized partial that is added to c once at the end —
   // exactly the naive j-inner loop's operation sequence per output, so
-  // results are bit-identical.
+  // results are bit-identical.  Only the first k_extent k-rows are
+  // widened and multiplied: the caller guarantees that A columns and B
+  // rows past it are +0.  Their products are +0 × +0 = +0; a partial
+  // that starts at +0 is never −0 (a round-to-nearest sum is −0 only
+  // when both addends are), and adding +0 to anything but −0 leaves it
+  // unchanged, NaN and ±Inf included.  So the skipped steps change no
+  // bit.
   float wa[8 * 16], wb[16 * 32];  // row-major flats (2-D indexing into a
                                   // [8][16] local would be UB past the
                                   // inner bound for the batch converter)
-  for (int i = 0; i < rows; ++i) half_to_float_n(ea[i], wa + 16 * i, 16);
-  for (int k = 0; k < 16; ++k) half_to_float_n(eb[k], wb + 32 * k, 32);
+  const auto kn = static_cast<std::size_t>(k_extent);
+  for (int i = 0; i < rows; ++i) half_to_float_n(ea[i], wa + 16 * i, kn);
+  for (int k = 0; k < k_extent; ++k) half_to_float_n(eb[k], wb + 32 * k, 32);
   for (int i = 0; i < rows; ++i) {
     float sum[32] = {};
-    for (int k = 0; k < 16; ++k) {
+    for (int k = 0; k < k_extent; ++k) {
       const float aik = wa[16 * i + k];
       const float* brow = wb + 32 * k;
       for (int j = 0; j < 32; ++j) {

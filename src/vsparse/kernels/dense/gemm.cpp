@@ -211,7 +211,7 @@ KernelRun hgemm_tcu(gpusim::Device& dev, const DenseDevice<half_t>& a,
             for (int i = 0; i < 8; ++i) {
               crow[i] = &acc[w.warp_id()][8 * rh + i][32 * ch];
             }
-            w.wmma_m8n32k16(afrag, bfrag, crow, 8);
+            w.wmma_m8n32k16(afrag, bfrag, crow, 8, 16);
           }
         }
       });

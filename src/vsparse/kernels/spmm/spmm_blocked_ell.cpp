@@ -158,7 +158,9 @@ KernelRun spmm_blocked_ell(gpusim::Device& dev, const BlockedEllDevice& a,
       // ---- compute with zero-padded wmma ------------------------------
       // ceil(blk/8) row tiles x 4 column tiles of m8n32k16, each padded
       // from k = blk to 16.  Fragments are read back from smem (LDS) —
-      // the Short-Scoreboard-heavy pattern of §3.2.
+      // the Short-Scoreboard-heavy pattern of §3.2.  Each wmma charges
+      // the 16 HMMA steps of the padded k, but is told its k-extent is
+      // blk, so the host multiplies only the block's k-rows.
       const int row_tiles = ceil_div(blk, 8);
       for (int rt = 0; rt < row_tiles; ++rt) {
         half_t afrag[8][16] = {};
@@ -214,7 +216,7 @@ KernelRun spmm_blocked_ell(gpusim::Device& dev, const BlockedEllDevice& a,
           for (int r = 0; r < crows; ++r) {
             crow[r] = &acc[rt * 8 + r][32 * ct];
           }
-          w.wmma_m8n32k16(afrag, bfrag, crow, crows);
+          w.wmma_m8n32k16(afrag, bfrag, crow, crows, blk);
         }
       }
       cta.sync();

@@ -243,53 +243,52 @@ KernelRun spmm_fpu_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
           gbase[s] = b.addr(staged_idx(s, kk), n0);
         }
         // MACs: V * wt per thread.  Half precision uses HMUL + FADD
-        // (fp32 accumulate, §3.1); single uses FFMA.  The staged A
-        // values are shared by all 8 lanes of a subwarp, so widen them
-        // once per subwarp (exact), and each lane's B slice once per
-        // lane instead of once per (vv, e) — same products, same
-        // per-accumulator fold order, bit-identical results.  The MAC
-        // loop consumes the span destination directly (no staging copy);
-        // only lanes the span wrote are read.
-        // The slice-width switch below fixes the per-lane element count
-        // at compile time (kWt = SB / sizeof(T)), so the innermost MAC
-        // loops fully unroll/vectorize instead of iterating a runtime
-        // bound.  Same products, same fold order, bit-identical.
+        // (fp32 accumulate, §3.1); single uses FFMA.  Lane t of subwarp
+        // s holds columns [kWt*t, kWt*t + kWt) of the B row, and the
+        // subwarp's 8 lanes sit contiguously in the span destination,
+        // so together they are the row's kCols = tile_n columns in
+        // order.  The host copies them out through the whole Lanes
+        // object (one lane's data() does not reach its neighbours),
+        // widens them in one batch (exact), and updates
+        // acc[s][vv][0..kCols) in one loop per vv.  Each accumulator
+        // still receives exactly one += av * b per staged nonzero, in
+        // staging order, so results are bit-identical to a per-lane
+        // loop.  Only subwarps the span wrote are read.  The
+        // slice-width switch below fixes kCols at compile time, so the
+        // MAC loop fully unrolls and vectorizes.
         const auto mac = [&]<std::size_t SB>(
                              const Lanes<std::array<std::byte, SB>>& d) {
           constexpr int kWt = static_cast<int>(SB / sizeof(T));
+          constexpr int kCols = kSubwarpSize * kWt;
+          static_assert(sizeof(d) == 32 * SB);
           if constexpr (sizeof(T) == 2) {
             w.count(Op::kHfma, static_cast<std::uint64_t>(v * kWt));
             w.count(Op::kFfma, static_cast<std::uint64_t>(v * kWt));
           } else {
             w.count(Op::kFfma, static_cast<std::uint64_t>(v * kWt));
           }
+          const auto* lanes = reinterpret_cast<const std::byte*>(&d);
           for (int s = 0; s < kSubwarps; ++s) {
             if (!(active & (1u << (kSubwarpSize * s)))) continue;
             float av[8];
+            float bf[kCols];
+            const std::byte* row = lanes + kSubwarpSize * SB * s;
             if constexpr (sizeof(T) == 2) {
               // The v staged A values sit contiguously in smem: one
               // batched widen (exact) replaces v scalar converts.
               half_to_float_n(reinterpret_cast<const half_t*>(
                                   cta.smem() + val_off(s, kk, 0)),
                               av, static_cast<std::size_t>(v));
+              half_t hb[kCols];
+              std::memcpy(static_cast<void*>(hb), row, sizeof(hb));
+              half_to_float_n(hb, bf, kCols);
             } else {
               for (int vv = 0; vv < v; ++vv) av[vv] = staged_val(s, kk, vv);
+              std::memcpy(bf, row, sizeof(bf));
             }
-            for (int t = 0; t < kSubwarpSize; ++t) {
-              const int lane = kSubwarpSize * s + t;
-              const auto* bvals = reinterpret_cast<const T*>(
-                  d[static_cast<std::size_t>(lane)].data());
-              float bf[8];
-              if constexpr (sizeof(T) == 2) {
-                half_to_float_n(bvals, bf, static_cast<std::size_t>(kWt));
-              } else {
-                for (int e = 0; e < kWt; ++e) bf[e] = bvals[e];
-              }
-              for (int vv = 0; vv < v; ++vv) {
-                for (int e = 0; e < kWt; ++e) {
-                  acc[s][vv][kWt * t + e] += av[vv] * bf[e];
-                }
-              }
+            for (int vv = 0; vv < v; ++vv) {
+              float* out = acc[s][vv];
+              for (int j = 0; j < kCols; ++j) out[j] += av[vv] * bf[j];
             }
           }
         };

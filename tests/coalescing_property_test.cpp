@@ -482,5 +482,193 @@ TEST(SpanSweep, SpanEqualsPerLaneAndUnbatchedReference) {
   span_sweep<std::array<std::uint32_t, 4>>(rng);
 }
 
+// ---- bank-conflict degree against an independent count ----------------
+//
+// A shared-memory load costs (distinct 4 B words in its busiest bank)
+// wavefronts, twice that for 16 B elements; each active lane's first
+// word stands for its access.  SpanSweep cannot see a wrong bank scan,
+// because the span and per-lane ops share it, so this sweep checks
+// `smem_wavefronts` of lds and lds_span against a count written here
+// from the definition: a quadratic pass over the active lanes' words.
+
+/// Distinct words in the busiest bank, over the active lanes of `off`.
+std::uint64_t reference_bank_degree(const Lanes<std::uint32_t>& off,
+                                    std::uint32_t mask) {
+  std::vector<std::uint32_t> words;
+  for (int l = 0; l < 32; ++l) {
+    if (!(mask & (1u << l))) continue;
+    const std::uint32_t word = off[static_cast<std::size_t>(l)] / 4;
+    if (std::find(words.begin(), words.end(), word) == words.end()) {
+      words.push_back(word);
+    }
+  }
+  std::uint64_t degree = 1;
+  for (std::uint32_t bank = 0; bank < 32; ++bank) {
+    const auto n = static_cast<std::uint64_t>(
+        std::count_if(words.begin(), words.end(),
+                      [&](std::uint32_t w) { return w % 32 == bank; }));
+    degree = std::max(degree, n);
+  }
+  return degree;
+}
+
+/// One shared-memory load: a segs x width span, or (segs == 0) the
+/// per-lane offsets in `lanes`.
+struct BankCase {
+  int segs = 0;
+  int width = 0;
+  std::uint32_t stride = 0;
+  std::vector<std::uint32_t> seg_off;
+  Lanes<std::uint32_t> lanes{};
+  std::uint32_t mask = 0;
+};
+
+constexpr std::uint32_t kBankSmem = 8 << 10;  ///< CTA shared memory bytes
+
+/// Runs every case of `cases` as one load of V in one CTA, through
+/// lds_span (span cases, and per-lane cases as lds), and through lds
+/// on the expanded lanes; checks each load's wavefronts against the
+/// reference degree.
+template <class V>
+void check_bank_degrees(const std::vector<BankCase>& cases) {
+  Device dev(small_config());
+  LaunchConfig cfg;
+  cfg.smem_bytes = kBankSmem;
+  constexpr std::uint64_t kWidthFactor = sizeof(V) == 16 ? 2 : 1;
+  launch(dev, cfg, [&](Cta& cta) {
+    Warp w = cta.warp(0);
+    const auto wavefronts = [&](auto&& load) {
+      const std::uint64_t before = cta.stats().smem_wavefronts;
+      load();
+      return cta.stats().smem_wavefronts - before;
+    };
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const BankCase& c = cases[i];
+      Lanes<std::uint32_t> off = c.lanes;
+      if (c.segs > 0) {
+        off = expand_lanes(SpanShape{c.segs, c.width}, c.stride, c.seg_off,
+                           std::uint32_t{0});
+      }
+      const std::uint64_t want =
+          c.mask == 0 ? 0 : reference_bank_degree(off, c.mask) * kWidthFactor;
+      SCOPED_TRACE(::testing::Message()
+                   << "case " << i << " size=" << sizeof(V) << " segs="
+                   << c.segs << " width=" << c.width << " stride=" << c.stride
+                   << " mask=" << std::hex << c.mask);
+      Lanes<V> d;
+      EXPECT_EQ(wavefronts([&] { w.lds(off, d, c.mask); }), want);
+      if (c.segs > 0) {
+        EXPECT_EQ(wavefronts([&] {
+                    w.lds_span(c.seg_off.data(), c.segs, c.width, c.stride, d,
+                               c.mask);
+                  }),
+                  want);
+      }
+    }
+  });
+}
+
+/// The seeded case list for elements of `size` bytes: random and
+/// single-bank per-lane offsets, repeated words, and spans over every
+/// segment count, stride and mask kind, with duplicate, overlapping and
+/// clamped segment offsets; then the B-fragment gather of Blocked-ELL
+/// and the dense GEMM.
+std::vector<BankCase> bank_cases(Rng& rng, std::uint32_t size) {
+  std::vector<BankCase> cases;
+  const auto elem_off = [&](std::uint32_t limit) {
+    return size * static_cast<std::uint32_t>(rng.uniform_u64(limit / size));
+  };
+  const MaskKind kinds[] = {MaskKind::kFull, MaskKind::kPrefix,
+                            MaskKind::kHoled, MaskKind::kSingle,
+                            MaskKind::kEmpty};
+  // Per-lane: offsets anywhere, offsets from a small pool of words
+  // (repeats), and 32 distinct words of one bank.
+  for (int trial = 0; trial < 40; ++trial) {
+    for (const MaskKind kind : kinds) {
+      BankCase c;
+      c.mask = make_mask(rng, kind, SpanShape{1, 32});
+      std::uint32_t pool[4];
+      for (std::uint32_t& p : pool) p = elem_off(kBankSmem - 16);
+      for (std::uint32_t& o : c.lanes) {
+        o = trial % 2 == 0 ? elem_off(kBankSmem - 16) : pool[rng.uniform_u64(4)];
+      }
+      cases.push_back(c);
+    }
+  }
+  for (const std::uint32_t bank_stride : {128u, 256u}) {
+    BankCase c;
+    c.mask = kFullMask;
+    for (int l = 0; l < 32; ++l) {
+      c.lanes[static_cast<std::size_t>(l)] =
+          (static_cast<std::uint32_t>(l) * bank_stride) % (kBankSmem - 16);
+    }
+    cases.push_back(c);
+  }
+  // Spans.
+  const std::uint32_t strides[] = {0, 2, 4, 8, 16, 32, 64, 128};
+  for (int segs = 1; segs <= 8; ++segs) {
+    const int max_width = 32 / segs;
+    for (const std::uint32_t stride : strides) {
+      for (const MaskKind kind : kinds) {
+        for (int bases = 0; bases < 4; ++bases) {
+          BankCase c;
+          c.segs = segs;
+          c.width = bases == 0 ? max_width
+                               : 1 + static_cast<int>(rng.uniform_u64(
+                                         static_cast<std::uint64_t>(max_width)));
+          c.stride = stride;
+          c.mask = make_mask(rng, kind, SpanShape{segs, c.width});
+          std::uint32_t limit =
+              kBankSmem - 16 - stride * static_cast<std::uint32_t>(c.width);
+          limit -= limit % size;
+          for (int seg = 0; seg < segs; ++seg) {
+            std::uint32_t o = elem_off(limit);
+            if (seg > 0 && bases == 1) {  // duplicate an earlier segment
+              o = c.seg_off[rng.uniform_u64(c.seg_off.size())];
+            } else if (seg > 0 && bases == 2) {  // overlap an earlier one
+              o = std::min(c.seg_off[rng.uniform_u64(c.seg_off.size())] +
+                               size * static_cast<std::uint32_t>(
+                                          rng.uniform_u64(4)),
+                           limit);
+            } else if (seg > 0 && bases == 3 && rng.bernoulli(0.5f)) {
+              o = c.seg_off.back();  // clamped: repeat the last row
+            }
+            c.seg_off.push_back(o);
+          }
+          cases.push_back(c);
+        }
+      }
+    }
+  }
+  // The B-fragment gather: eight 4-lane segments, one per B row (256 B
+  // apart, clamped at blk - 1), lanes 16 B apart, per 32-column tile.
+  for (const int blk : {2, 4, 8, 16}) {
+    for (std::uint32_t ct = 0; ct < 4; ++ct) {
+      for (int pass = 0; pass < 2; ++pass) {
+        BankCase c;
+        c.segs = 8;
+        c.width = 4;
+        c.stride = 16;
+        c.mask = kFullMask;
+        for (int seg = 0; seg < 8; ++seg) {
+          const int r = std::min(8 * pass + seg, blk - 1);
+          c.seg_off.push_back(static_cast<std::uint32_t>(blk * blk * 2 + r * 256) +
+                              64 * ct);
+        }
+        cases.push_back(c);
+      }
+    }
+  }
+  return cases;
+}
+
+TEST(BankDegree, MatchesDistinctWordsPerBankCount) {
+  Rng rng(1877);
+  check_bank_degrees<std::uint16_t>(bank_cases(rng, 2));
+  check_bank_degrees<std::uint32_t>(bank_cases(rng, 4));
+  check_bank_degrees<std::uint64_t>(bank_cases(rng, 8));
+  check_bank_degrees<std::array<std::uint32_t, 4>>(bank_cases(rng, 16));
+}
+
 }  // namespace
 }  // namespace vsparse::gpusim

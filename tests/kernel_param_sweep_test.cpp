@@ -3,6 +3,7 @@
 // against the reference, independent of the performance knobs.
 #include <gtest/gtest.h>
 
+#include "fpu_real_operands.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/reference.hpp"
@@ -86,6 +87,11 @@ TEST_P(FpuTileSweep, BitExactForEveryTileShape) {
       ASSERT_EQ(got.at(r, j).bits(), ref.at(r, j).bits())
           << "tile_n=" << tile_n << " tile_k=" << tile_k;
     }
+  }
+  for (const int v : {1, 2, 4, 8}) {
+    expect_fpu_real_operands_bit_exact(
+        v, 0.6, SpmmFpuParams{.tile_n = tile_n, .tile_k = tile_k},
+        100 + static_cast<std::uint64_t>(v));
   }
 }
 

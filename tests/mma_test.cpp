@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstring>
+#include <iterator>
+
 #include "vsparse/common/rng.hpp"
 #include "vsparse/gpusim/device.hpp"
 #include "vsparse/gpusim/engine/launch.hpp"
+#include "vsparse/gpusim/faults.hpp"
 
 namespace vsparse::gpusim {
 namespace {
@@ -258,6 +264,136 @@ TEST_F(MmaTest, WmmaMatchesReference) {
   EXPECT_EQ(s.op(Op::kHmma), 16u);
   for (int i = 0; i < 8; ++i) {
     for (int j = 0; j < 32; ++j) EXPECT_EQ(c[i][j], ref[i][j]);
+  }
+}
+
+// ---- the strided WMMA's k-extent ---------------------------------------
+//
+// Past its k-extent the strided form's A columns and B rows are +0
+// padding that the host skips.  Skipping must leave every accumulator
+// bit exactly as the full 16-row product leaves it, for any live
+// operand and accumulator (signed zeros, subnormals, infinities and NaN
+// included), and still charge the padded instruction's 16 HMMA steps.
+
+/// One strided-WMMA problem: live k-rows [0, k), +0 past them.
+struct WmmaKProblem {
+  half_t a[8][16] = {};
+  half_t b[16][32] = {};
+  float c[8][32] = {};
+};
+
+/// A real in (-2, 2), or with probability `special` one of ±0, a
+/// subnormal, ±65504, ±Inf or NaN.
+half_t special_or_real(Rng& rng, float special) {
+  static constexpr std::uint16_t kSpecial[] = {
+      0x0000, 0x8000,          // ±0
+      0x0001, 0x83FF,          // subnormals
+      0x7BFF, 0xFBFF,          // ±65504
+      0x7C00, 0xFC00, 0x7E00,  // ±Inf, NaN
+  };
+  if (rng.bernoulli(special)) {
+    return half_t::from_bits(kSpecial[rng.uniform_u64(std::size(kSpecial))]);
+  }
+  return half_t(rng.uniform_float(-2.0f, 2.0f));
+}
+
+WmmaKProblem random_wmma_k_problem(Rng& rng, int k, float special) {
+  WmmaKProblem p;
+  for (int i = 0; i < 8; ++i) {
+    for (int kk = 0; kk < k; ++kk) p.a[i][kk] = special_or_real(rng, special);
+    for (int j = 0; j < 32; ++j) {
+      p.c[i][j] = static_cast<float>(special_or_real(rng, special));
+    }
+  }
+  for (int kk = 0; kk < k; ++kk) {
+    for (int j = 0; j < 32; ++j) p.b[kk][j] = special_or_real(rng, special);
+  }
+  return p;
+}
+
+/// Accumulates p's product into a copy of p.c on `dev` through the
+/// strided form with the given rows and k-extent; returns the
+/// accumulator and, through `stats`, the launch counters.
+std::array<std::uint32_t, 8 * 32> run_strided_wmma(Device& dev,
+                                                   const WmmaKProblem& p,
+                                                   int rows, int k_extent,
+                                                   KernelStats* stats) {
+  float c[8][32];
+  std::memcpy(c, p.c, sizeof(c));
+  float* crow[8];
+  for (int i = 0; i < 8; ++i) crow[i] = c[i];
+  LaunchConfig cfg;
+  *stats = launch(dev, cfg, [&](Cta& cta) {
+    Warp w = cta.warp(0);
+    w.wmma_m8n32k16(p.a, p.b, crow, rows, k_extent);
+  });
+  std::array<std::uint32_t, 8 * 32> bits;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 32; ++j) {
+      bits[static_cast<std::size_t>(32 * i + j)] =
+          std::bit_cast<std::uint32_t>(c[i][j]);
+    }
+  }
+  return bits;
+}
+
+TEST_F(MmaTest, WmmaKExtentSkipsOnlyZeroPadding) {
+  Rng rng(1604);
+  for (const int k : {1, 2, 4, 8, 15, 16}) {
+    for (const int rows : {1, 8}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " rows=" << rows
+                                          << " trial=" << trial);
+        const WmmaKProblem p = random_wmma_k_problem(rng, k, 0.08f);
+        KernelStats full_stats, ext_stats;
+        const auto full = run_strided_wmma(dev_, p, rows, 16, &full_stats);
+        const auto ext = run_strided_wmma(dev_, p, rows, k, &ext_stats);
+        EXPECT_EQ(ext, full);
+        EXPECT_EQ(full_stats.op(Op::kHmma), 16u);
+        EXPECT_EQ(ext_stats.op(Op::kHmma), 16u);
+      }
+    }
+  }
+}
+
+TEST(WmmaKExtent, FaultPlanMultipliesThePadding) {
+  // Two devices with the same seeded MMA-fragment plan: every call takes
+  // one rate upset, and the first also flips bit 14 (+0 -> 2.0) of
+  // A[0][15] and of B[15][1], both in the padding of a k = 4 problem.
+  // The k-extent call must see the corrupted padding exactly as the
+  // 16-row call does.  The live values are finite reals, so the
+  // padding's product shows in the output.
+  constexpr int kBBase = 8 * 16 * 2 * 8;  // bit index where B starts
+  const auto make_plan = [&](FaultPlan& plan) {
+    plan.set_rates(FaultRates{.mma_frag = 1.0});
+    plan.add_target({FaultSite::kMmaFrag, 0, 15 * 2 * 8 + 14, 1, false});
+    plan.add_target(
+        {FaultSite::kMmaFrag, 0, kBBase + (15 * 32 + 1) * 2 * 8 + 14, 1,
+         false});
+  };
+  Rng rng(77);
+  for (const int k : {1, 4, 15}) {
+    for (const int rows : {1, 8}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " rows=" << rows);
+      const WmmaKProblem p = random_wmma_k_problem(rng, k, 0.0f);
+      FaultPlan plan_full(/*seed=*/9), plan_ext(/*seed=*/9);
+      make_plan(plan_full);
+      make_plan(plan_ext);
+      Device dev_full(small_config()), dev_ext(small_config());
+      dev_full.set_fault_plan(&plan_full);
+      dev_ext.set_fault_plan(&plan_ext);
+      KernelStats full_stats, ext_stats, clean_stats;
+      const auto full = run_strided_wmma(dev_full, p, rows, 16, &full_stats);
+      const auto ext = run_strided_wmma(dev_ext, p, rows, k, &ext_stats);
+      EXPECT_EQ(ext, full);
+      EXPECT_EQ(ext_stats.faults_injected, full_stats.faults_injected);
+      EXPECT_GE(full_stats.faults_injected, 2u);
+      EXPECT_EQ(ext_stats.op(Op::kHmma), 16u);
+      // The padding upsets reach the output: the run differs from a
+      // fault-free one (A[0][15] * B[15][1] = 4 lands in C[0][1]).
+      Device clean(small_config());
+      EXPECT_NE(run_strided_wmma(clean, p, rows, k, &clean_stats), full);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // Blocked-ELL (cuSPARSE stand-in, §3.2) and fine-grained CSR.
 #include <gtest/gtest.h>
 
+#include "fpu_real_operands.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/reference.hpp"
@@ -60,6 +61,8 @@ TEST_P(SpmmFpuSweep, MatchesReference) {
   auto dc = to_device(dev, ch);
   spmm_fpu_subwarp(dev, da, db, dc);
   expect_half_equal(from_device(dc), spmm_reference(a, b));
+  expect_fpu_real_operands_bit_exact(v, sparsity, SpmmFpuParams{},
+                                     510 + static_cast<std::uint64_t>(v));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,6 +150,7 @@ TEST(SpmmFpu, SinglePrecisionMatchesReference) {
     }
   }
   EXPECT_EQ(run.stats.op(gpusim::Op::kHfma), 0u);  // pure fp32 math
+  expect_fpu_real_operands_bit_exact(1, 0.8, SpmmFpuParams{}, 22);
 }
 
 TEST(SpmmFpu, SassSizeCalibration) {
@@ -234,7 +238,7 @@ TEST_P(BlockedEllSweep, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, BlockedEllSweep,
-    ::testing::Combine(::testing::Values(4, 8, 16),
+    ::testing::Combine(::testing::Values(2, 4, 8, 16),
                        ::testing::Values(0.5, 0.9)));
 
 TEST(BlockedEll, PaddingSlotsAreSkipped) {
