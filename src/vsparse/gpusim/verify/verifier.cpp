@@ -1,13 +1,16 @@
 #include "vsparse/gpusim/verify/verifier.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <map>
 #include <sstream>
+#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "vsparse/formats/generate.hpp"
+#include "vsparse/gpusim/engine/thread_pool.hpp"
 #include "vsparse/gpusim/sanitizer/report.hpp"
 #include "vsparse/kernels/dense/gemm.hpp"
 #include "vsparse/kernels/registry.hpp"
@@ -21,6 +24,10 @@ namespace {
 /// dead guard: wider than a 32-lane x 16 B warp op and than four rows
 /// of the widest class matrix (2048 halves).
 constexpr std::size_t kGuardBytes = 16 << 10;
+
+/// Host threads certify() uses: one per hardware thread, at most 8
+/// (each holds one probe device of up to ~50 MB).
+constexpr std::size_t kMaxWorkers = 8;
 
 // ---- runners -------------------------------------------------------
 
@@ -211,18 +218,6 @@ CornerOutcome run_corner(const Target& target, const ShapeCorner& corner,
 
 }  // namespace
 
-const char* verdict_name(VerdictKind kind) {
-  switch (kind) {
-    case VerdictKind::kProved:
-      return "proved";
-    case VerdictKind::kRefuted:
-      return "refuted";
-    case VerdictKind::kUnknown:
-      return "unknown";
-  }
-  return "unknown";
-}
-
 ProbeDevice::ProbeDevice(gpusim::Device& dev) : dev_(dev) { guard(); }
 
 void ProbeDevice::guard() {
@@ -350,6 +345,41 @@ std::vector<Verdict> verify_target(const Target& target,
     verdicts.push_back(std::move(verdict));
   }
   return verdicts;
+}
+
+std::vector<CertEntry> certify(const std::vector<Target>& targets,
+                               const std::vector<ShapeClass>& classes,
+                               const std::vector<gpusim::DeviceConfig>& archs) {
+  const std::size_t jobs = targets.size() * archs.size();
+  std::vector<std::vector<Verdict>> results(jobs);
+  std::atomic<std::size_t> next{0};
+  const std::size_t workers = std::clamp<std::size_t>(
+      std::min<std::size_t>(jobs, std::thread::hardware_concurrency()), 1,
+      kMaxWorkers);
+  // Probes launch serially (ProbeRig), so they never re-enter the pool.
+  gpusim::ThreadPool::instance().run(static_cast<int>(workers), [&] {
+    for (std::size_t j; (j = next.fetch_add(1)) < jobs;) {
+      results[j] = verify_target(targets[j % targets.size()], classes,
+                                 archs[j / targets.size()]);
+    }
+  });
+
+  std::vector<CertEntry> entries;
+  entries.reserve(jobs * classes.size());
+  for (std::size_t j = 0; j < jobs; ++j) {
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      entries.push_back({targets[j % targets.size()].name,
+                         archs[j / targets.size()].arch, classes[c],
+                         std::move(results[j][c])});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const CertEntry& a, const CertEntry& b) {
+              if (a.kernel != b.kernel) return a.kernel < b.kernel;
+              if (a.arch != b.arch) return a.arch < b.arch;
+              return a.cls.name < b.cls.name;
+            });
+  return entries;
 }
 
 }  // namespace vsparse::verify

@@ -51,9 +51,6 @@ namespace vsparse::verify {
 
 enum class VerdictKind : std::uint8_t { kProved, kRefuted, kUnknown };
 
-/// "proved" | "refuted" | "unknown" (stable certificate vocabulary).
-const char* verdict_name(VerdictKind kind);
-
 struct Verdict {
   VerdictKind kind = VerdictKind::kUnknown;
   /// The refuting class corner (kRefuted only).
@@ -149,5 +146,21 @@ const std::vector<Target>& verification_targets();
 std::vector<Verdict> verify_target(const Target& target,
                                    const std::vector<ShapeClass>& classes,
                                    const gpusim::DeviceConfig& hw);
+
+/// One (kernel, shape class, architecture preset) verdict.
+struct CertEntry {
+  std::string kernel;  ///< target name ("spmm_octet")
+  std::string arch;    ///< arch preset name ("volta-v100")
+  ShapeClass cls;
+  Verdict verdict;
+};
+
+/// Certifies every target over every class on every architecture,
+/// spreading (target, architecture) pairs over a few host threads.
+/// Entries come back sorted by (kernel, arch, class name), identical
+/// for any thread count.
+std::vector<CertEntry> certify(const std::vector<Target>& targets,
+                               const std::vector<ShapeClass>& classes,
+                               const std::vector<gpusim::DeviceConfig>& archs);
 
 }  // namespace vsparse::verify

@@ -17,9 +17,8 @@ struct KernelRun {
   gpusim::KernelStats stats;
   gpusim::LaunchConfig config;
 
-  /// Fault-tolerance outcome; default-inert unless an ABFT kernel
-  /// variant (kernels/dense/gemm_abft.hpp, kernels/spmm/
-  /// spmm_octet_abft.hpp) produced this run.
+  /// Fault-tolerance outcome; default-inert unless the ABFT kernel
+  /// variant (kernels/spmm/spmm_octet_abft.hpp) produced this run.
   AbftReport abft;
 
   KernelRun() = default;

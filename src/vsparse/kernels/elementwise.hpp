@@ -1,12 +1,8 @@
-// Element-wise / normalization kernels rounding out the transformer
-// pipeline (the paper's "Others" bucket): bias add, residual add, GELU,
-// and LayerNorm, all on half-precision row-major activations.
-//
-// Memory behaviour matters more than math here: every kernel streams
-// with LDG.128/STG.128 (guideline V) and one warp handles 256 elements
-// per pass.  LayerNorm is row-parallel (one warp per row) with two
-// butterfly-shuffle reductions, matching the standard fused
-// implementation.
+// Residual add on half-precision row-major activations, the one
+// element-wise kernel.  It streams with LDG.128/STG.128 (guideline V):
+// each CTA is one warp and handles 256 elements per pass, 8 passes.
+// transformer/ does not call it (fig20's "Others" are the projection
+// GEMMs); perfbench times a one-CTA launch of it as its launch floor.
 #pragma once
 
 #include "vsparse/formats/dense.hpp"
@@ -14,21 +10,8 @@
 
 namespace vsparse::kernels {
 
-/// x <- x + bias (bias broadcast over rows).  cols % 8 == 0.
-KernelRun bias_add(gpusim::Device& dev, DenseDevice<half_t>& x,
-                   const gpusim::Buffer<half_t>& bias);
-
 /// x <- x + y (same shape).  Element count % 8 == 0.
 KernelRun residual_add(gpusim::Device& dev, DenseDevice<half_t>& x,
                        const DenseDevice<half_t>& y);
-
-/// x <- GELU(x) (tanh approximation, as deployed transformers use).
-KernelRun gelu(gpusim::Device& dev, DenseDevice<half_t>& x);
-
-/// Row-wise LayerNorm: x[r] <- (x[r] - mean) / sqrt(var + eps) * gamma
-/// + beta.  gamma/beta have x.cols elements; cols % 8 == 0.
-KernelRun layer_norm(gpusim::Device& dev, DenseDevice<half_t>& x,
-                     const gpusim::Buffer<half_t>& gamma,
-                     const gpusim::Buffer<half_t>& beta, float eps = 1e-5f);
 
 }  // namespace vsparse::kernels

@@ -32,13 +32,20 @@ KernelRun spmm_fpu_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
   VSPARSE_CHECK(v == 1 || v == 2 || v == 4 || v == 8);
   const int tile_n = params.tile_n;
   const int tile_k = params.tile_k;
-  VSPARSE_CHECK(tile_n % kSubwarpSize == 0);
+  const int wt = tile_n / kSubwarpSize;  ///< output columns per thread
+  // Each lane loads its wt-wide B slice as one 2, 4, 8 or 16 B access:
+  // tile_n 8/16/32/64 in half, 8/16/32 in float.
+  const int slice_bytes = wt * static_cast<int>(sizeof(T));
+  VSPARSE_CHECK_MSG(tile_n % kSubwarpSize == 0 &&
+                        (slice_bytes == 2 || slice_bytes == 4 ||
+                         slice_bytes == 8 || slice_bytes == 16),
+                    "tile_n=" << tile_n << " gives a " << slice_bytes
+                              << " B B-slice per lane; the "
+                              << sizeof(T) * 8
+                              << "-bit kernel runs 2, 4, 8 or 16 B slices");
   VSPARSE_CHECK_MSG(n % tile_n == 0, "N must be a multiple of TileN="
                                          << tile_n);
   VSPARSE_CHECK(tile_k % 16 == 0 && tile_k <= 64);
-  VSPARSE_CHECK(tile_n <= 64);
-  const int wt = tile_n / kSubwarpSize;  ///< output columns per thread
-  VSPARSE_CHECK(static_cast<std::size_t>(wt) * sizeof(T) <= 16);
 
   const int vec_rows = a.vec_rows();
   const int n_tiles = n / tile_n;
@@ -292,7 +299,6 @@ KernelRun spmm_fpu_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
             }
           }
         };
-        const int slice_bytes = wt * static_cast<int>(sizeof(T));
         const std::uint32_t sstride = static_cast<std::uint32_t>(slice_bytes);
         switch (slice_bytes) {
           case 2: {
@@ -313,7 +319,7 @@ KernelRun spmm_fpu_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
             mac(d);
             break;
           }
-          default: {
+          default: {  // 16 B (checked above)
             Lanes<std::array<std::byte, 16>> d;
             w.ldg_span(gbase, kSubwarps, kSubwarpSize, sstride, d, active);
             mac(d);
@@ -347,7 +353,6 @@ KernelRun spmm_fpu_impl(gpusim::Device& dev, const CvsDeviceT<T>& a,
         if (vr0 + s >= vec_rows) continue;
         gbase[s] = c.addr((vr0 + s) * v + vv, n0);
       }
-      const int slice_bytes = wt * static_cast<int>(sizeof(T));
       const std::uint32_t sstride = static_cast<std::uint32_t>(slice_bytes);
       switch (slice_bytes) {
         case 2: {

@@ -1,8 +1,5 @@
-// Tests for the high-level dispatch API and the element-wise
-// transformer kernels.
+// Tests for the high-level dispatch API and the residual-add kernel.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
@@ -86,89 +83,17 @@ TEST(Elementwise, BiasAndResidual) {
   DenseMatrix<half_t> x(16, 64), y(16, 64);
   x.fill_random_int(rng);
   y.fill_random_int(rng);
-  std::vector<half_t> bias_host(64);
-  for (auto& h : bias_host) {
-    h = half_t(static_cast<float>(rng.uniform_int(-2, 2)));
-  }
   auto dx = to_device(dev, x);
   auto dy = to_device(dev, y);
-  auto bias = dev.alloc_copy<half_t>(bias_host);
 
-  kernels::bias_add(dev, dx, bias);
   kernels::residual_add(dev, dx, dy);
   DenseMatrix<half_t> got = from_device(dx);
   for (int r = 0; r < 16; ++r) {
     for (int c = 0; c < 64; ++c) {
-      const float want = static_cast<float>(x.at(r, c)) +
-                         static_cast<float>(bias_host[static_cast<std::size_t>(c)]) +
-                         static_cast<float>(y.at(r, c));
+      const float want =
+          static_cast<float>(x.at(r, c)) + static_cast<float>(y.at(r, c));
       ASSERT_EQ(static_cast<float>(got.at(r, c)), want) << r << "," << c;
     }
-  }
-}
-
-TEST(Elementwise, GeluMatchesScalarFormula) {
-  Rng rng(5);
-  gpusim::Device dev(test_config());
-  DenseMatrix<half_t> x(8, 64);
-  x.fill_random(rng, -3.0f, 3.0f);
-  auto dx = to_device(dev, x);
-  kernels::gelu(dev, dx);
-  DenseMatrix<half_t> got = from_device(dx);
-  for (int r = 0; r < 8; ++r) {
-    for (int c = 0; c < 64; ++c) {
-      const float v = static_cast<float>(x.at(r, c));
-      const float want =
-          0.5f * v *
-          (1.0f + std::tanh(0.7978845608f * (v + 0.044715f * v * v * v)));
-      ASSERT_NEAR(static_cast<float>(got.at(r, c)), want, 2e-3f);
-    }
-  }
-  // Sanity: GELU(0)=0, GELU(+large)~identity, GELU(-large)~0.
-  EXPECT_EQ(static_cast<float>(half_t(0.0f)), 0.0f);
-}
-
-TEST(Elementwise, LayerNormNormalizesRows) {
-  Rng rng(6);
-  gpusim::Device dev(test_config());
-  DenseMatrix<half_t> x(8, 128);
-  x.fill_random(rng, -2.0f, 2.0f);
-  std::vector<half_t> gamma(128, half_t(1.0f)), beta(128, half_t(0.0f));
-  auto dx = to_device(dev, x);
-  auto dg = dev.alloc_copy<half_t>(gamma);
-  auto db = dev.alloc_copy<half_t>(beta);
-  kernels::layer_norm(dev, dx, dg, db);
-  DenseMatrix<half_t> got = from_device(dx);
-  for (int r = 0; r < 8; ++r) {
-    float mean = 0, var = 0;
-    for (int c = 0; c < 128; ++c) mean += static_cast<float>(got.at(r, c));
-    mean /= 128;
-    for (int c = 0; c < 128; ++c) {
-      const float d = static_cast<float>(got.at(r, c)) - mean;
-      var += d * d;
-    }
-    var /= 128;
-    EXPECT_NEAR(mean, 0.0f, 0.02f) << "row " << r;
-    EXPECT_NEAR(var, 1.0f, 0.05f) << "row " << r;
-  }
-}
-
-TEST(Elementwise, LayerNormAffineApplied) {
-  Rng rng(7);
-  gpusim::Device dev(test_config());
-  DenseMatrix<half_t> x(4, 64);
-  x.fill_random(rng, -1.0f, 1.0f);
-  std::vector<half_t> gamma(64, half_t(2.0f)), beta(64, half_t(0.5f));
-  auto dx = to_device(dev, x);
-  auto dg = dev.alloc_copy<half_t>(gamma);
-  auto db = dev.alloc_copy<half_t>(beta);
-  kernels::layer_norm(dev, dx, dg, db);
-  DenseMatrix<half_t> got = from_device(dx);
-  for (int r = 0; r < 4; ++r) {
-    float mean = 0;
-    for (int c = 0; c < 64; ++c) mean += static_cast<float>(got.at(r, c));
-    mean /= 64;
-    EXPECT_NEAR(mean, 0.5f, 0.03f);  // beta shifts the mean
   }
 }
 

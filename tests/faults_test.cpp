@@ -1,10 +1,10 @@
 // Fault-injection acceptance tests: a targeted DRAM bit flip in the
-// dense GEMM and the octet SpMM must be (a) detected and recovered by
-// the ABFT kernel variants to the exact fault-free result with ECC
-// off, (b) corrected transparently with ECC on, and (c) raised as a
-// structured EccError for a double-bit upset.  Plus the determinism
-// contract: rate-based fault counts are identical at any host thread
-// count, and an attached-but-empty plan is bit-identical to no plan.
+// octet SpMM must be (a) detected and recovered by the ABFT variant to
+// the exact fault-free result with ECC off, (b) corrected
+// transparently with ECC on, and (c) raised as a structured EccError
+// for a double-bit upset.  Plus the determinism contract: rate-based
+// fault counts are identical at any host thread count, and an
+// attached-but-empty plan is bit-identical to no plan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/gpusim/device.hpp"
 #include "vsparse/gpusim/faults.hpp"
-#include "vsparse/kernels/dense/gemm_abft.hpp"
 #include "vsparse/kernels/spmm/spmm_octet_abft.hpp"
 
 namespace vsparse::kernels {
@@ -33,111 +32,11 @@ std::vector<std::uint16_t> bits_of(const DenseDevice<half_t>& m) {
   return out;
 }
 
-// ---- dense GEMM ------------------------------------------------------
-
-/// 64x64x64 problem with integer-exact values and two pinned elements:
-/// A(0,1) = 2.0 is the fault target (flipping bit 14 of its fp16 word
-/// zeroes it, a delta of 2) and B(1,0) = 3.0 guarantees the delta is
-/// visible in output column 0 well above the checksum tolerance.
-struct GemmProblem {
-  DenseMatrix<half_t> a{64, 64};
-  DenseMatrix<half_t> b{64, 64};
-
-  GemmProblem() {
-    Rng rng(321);
-    a.fill_random_int(rng);
-    b.fill_random_int(rng);
-    a.at(0, 1) = half_t(2.0f);
-    b.at(1, 0) = half_t(8.0f);
-  }
-};
-
-struct GemmRun {
-  std::vector<std::uint16_t> out_bits;
-  KernelRun run;
-  gpusim::Device dev{test_config()};
-};
-
-/// Upload the problem, optionally attach `plan` with a targeted flip at
-/// A(0,1)'s high byte, and run the ABFT GEMM.
-GemmRun run_gemm_abft(const GemmProblem& p, gpusim::FaultPlan* plan,
-                      int n_bits = 1) {
-  GemmRun r;
-  auto da = to_device(r.dev, p.a);
-  auto db = to_device(r.dev, p.b);
-  DenseMatrix<half_t> ch(64, 64);
-  auto dc = to_device(r.dev, ch);
-  if (plan != nullptr) {
-    // Byte 1 of the little-endian fp16 word, bit 6 -> flips 0x4000.
-    plan->add_target({gpusim::FaultSite::kDramRead, da.addr(0, 1) + 1, 6,
-                      n_bits, /*sticky=*/false});
-    r.dev.set_fault_plan(plan);
-  }
-  r.run = hgemm_tcu_abft(r.dev, da, db, dc);
-  r.out_bits = bits_of(dc);
-  return r;
-}
-
-TEST(FaultGemm, AbftRecoversDramFlipToExactResult) {
-  GemmProblem p;
-  const GemmRun clean = run_gemm_abft(p, nullptr);
-  EXPECT_TRUE(clean.run.abft.enabled);
-  EXPECT_TRUE(clean.run.abft.clean);
-  EXPECT_EQ(clean.run.abft.corrupted_tiles, 0);
-  EXPECT_EQ(clean.run.abft.recompute_launches, 0);
-  EXPECT_EQ(clean.run.stats.faults_injected, 0u);
-
-  gpusim::FaultPlan plan(/*seed=*/7, /*ecc_enabled=*/false);
-  const GemmRun faulty = run_gemm_abft(p, &plan);
-  EXPECT_GE(plan.injected(), 1u);
-  EXPECT_GE(faulty.run.stats.faults_injected, 1u);
-  EXPECT_EQ(faulty.run.stats.faults_masked, 0u);
-  EXPECT_TRUE(faulty.run.abft.enabled);
-  EXPECT_GE(faulty.run.abft.corrupted_tiles, 1);
-  EXPECT_GE(faulty.run.abft.recompute_launches, 1);
-  EXPECT_TRUE(faulty.run.abft.clean);
-  ASSERT_EQ(faulty.out_bits.size(), clean.out_bits.size());
-  for (std::size_t i = 0; i < clean.out_bits.size(); ++i) {
-    ASSERT_EQ(faulty.out_bits[i], clean.out_bits[i])
-        << "recovered output word " << i << " differs from fault-free run";
-  }
-}
-
-TEST(FaultGemm, EccCorrectsSingleBitTransparently) {
-  GemmProblem p;
-  const GemmRun clean = run_gemm_abft(p, nullptr);
-
-  gpusim::FaultPlan plan(/*seed=*/7, /*ecc_enabled=*/true);
-  const GemmRun ecc = run_gemm_abft(p, &plan);
-  EXPECT_GE(ecc.run.stats.faults_injected, 1u);
-  EXPECT_GE(ecc.run.stats.faults_masked, 1u);
-  EXPECT_EQ(ecc.run.stats.faults_detected, 0u);
-  EXPECT_GE(plan.masked(), 1u);
-  // ECC corrected in flight: ABFT saw a clean launch.
-  EXPECT_EQ(ecc.run.abft.corrupted_tiles, 0);
-  EXPECT_EQ(ecc.run.abft.recompute_launches, 0);
-  ASSERT_EQ(ecc.out_bits, clean.out_bits);
-}
-
-TEST(FaultGemm, EccDoubleBitRaisesStructuredError) {
-  GemmProblem p;
-  gpusim::FaultPlan plan(/*seed=*/7, /*ecc_enabled=*/true);
-  try {
-    run_gemm_abft(p, &plan, /*n_bits=*/2);
-    FAIL() << "double-bit upset with ECC on must raise EccError";
-  } catch (const gpusim::EccError& e) {
-    EXPECT_EQ(e.site(), gpusim::FaultSite::kDramRead);
-    EXPECT_GE(e.sm_id(), 0);
-  }
-  EXPECT_GE(plan.detected(), 1u);
-}
-
-// ---- octet SpMM ------------------------------------------------------
-
 /// 32x96 CVS at V=4 with integer-exact values; values[0] (lane 0 of
 /// vector row 0's first nonzero vector) is pinned to 2.0 as the fault
-/// target and B row col_idx[0] gets a pinned 3.0 so the flip is
-/// detectable in output column 0.
+/// target (flipping bit 14 of its fp16 word zeroes it) and B row
+/// col_idx[0] gets a pinned 8.0 so the flip is detectable in output
+/// column 0 well above the checksum tolerance.
 struct SpmmProblem {
   Cvs a;
   DenseMatrix<half_t> b{96, 64};
@@ -188,12 +87,18 @@ TEST(FaultSpmm, AbftRecoversDramFlipToExactResult) {
   ASSERT_GT(p.a.row_ptr[1], p.a.row_ptr[0])
       << "test needs a nonzero in vector row 0";
   const SpmmRun clean = run_spmm_abft(p, nullptr);
+  EXPECT_TRUE(clean.run.abft.enabled);
   EXPECT_TRUE(clean.run.abft.clean);
   EXPECT_EQ(clean.run.abft.corrupted_tiles, 0);
+  EXPECT_EQ(clean.run.abft.recompute_launches, 0);
+  EXPECT_EQ(clean.run.stats.faults_injected, 0u);
 
   gpusim::FaultPlan plan(/*seed=*/11, /*ecc_enabled=*/false);
   const SpmmRun faulty = run_spmm_abft(p, &plan);
+  EXPECT_GE(plan.injected(), 1u);
   EXPECT_GE(faulty.run.stats.faults_injected, 1u);
+  EXPECT_EQ(faulty.run.stats.faults_masked, 0u);
+  EXPECT_TRUE(faulty.run.abft.enabled);
   EXPECT_GE(faulty.run.abft.corrupted_tiles, 1);
   EXPECT_GE(faulty.run.abft.recompute_launches, 1);
   EXPECT_TRUE(faulty.run.abft.clean);
@@ -210,9 +115,13 @@ TEST(FaultSpmm, EccCorrectsSingleBitTransparently) {
 
   gpusim::FaultPlan plan(/*seed=*/11, /*ecc_enabled=*/true);
   const SpmmRun ecc = run_spmm_abft(p, &plan);
+  EXPECT_GE(ecc.run.stats.faults_injected, 1u);
   EXPECT_GE(ecc.run.stats.faults_masked, 1u);
   EXPECT_EQ(ecc.run.stats.faults_detected, 0u);
+  EXPECT_GE(plan.masked(), 1u);
+  // ECC corrected in flight: ABFT saw a clean launch.
   EXPECT_EQ(ecc.run.abft.corrupted_tiles, 0);
+  EXPECT_EQ(ecc.run.abft.recompute_launches, 0);
   ASSERT_EQ(ecc.out_bits, clean.out_bits);
 }
 
@@ -227,7 +136,13 @@ TEST(FaultSpmm, EccDoubleBitRaisesStructuredError) {
   plan.add_target({gpusim::FaultSite::kDramRead, a.values.addr(0) + 1, 6,
                    /*n_bits=*/2, /*sticky=*/false});
   r.dev.set_fault_plan(&plan);
-  EXPECT_THROW(spmm_octet_abft(r.dev, a, b, c), gpusim::EccError);
+  try {
+    spmm_octet_abft(r.dev, a, b, c);
+    FAIL() << "double-bit upset with ECC on must raise EccError";
+  } catch (const gpusim::EccError& e) {
+    EXPECT_EQ(e.site(), gpusim::FaultSite::kDramRead);
+    EXPECT_GE(e.sm_id(), 0);
+  }
   EXPECT_GE(plan.detected(), 1u);
   // The device stays usable after the unwind: detach and run clean.
   r.dev.set_fault_plan(nullptr);

@@ -3,6 +3,9 @@
 // Blocked-ELL (cuSPARSE stand-in, §3.2) and fine-grained CSR.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fpu_real_operands.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
@@ -114,6 +117,78 @@ TEST(SpmmFpu, WideTileUsesWideLoads) {
   EXPECT_GT(narrow.stats.ldg32, wide.stats.ldg32);
   EXPECT_GT(narrow.config.grid, wide.config.grid);
   expect_half_equal(from_device(dc), spmm_reference(a, b));
+}
+
+// §5.1/§7.2.2: the tuned configuration gives up wide loads for grid
+// size, so TileN = 16 beats 32 and 64 in V100 model cycles on a seeded
+// 512 x 256 V = 4 operand at N = 256, at TileK 16 and 32.
+TEST(SpmmFpu, NarrowTileNBeatsWideTiles) {
+  Rng rng(5);
+  const Cvs a = make_cvs(512, 256, 4, 0.9, rng);
+  const gpusim::DeviceConfig hw = gpusim::DeviceConfig::volta_v100();
+  const auto cycles = [&](int tile_n, int tile_k) {
+    gpusim::Device dev(hw);
+    CvsDevice da = to_device(dev, a);
+    DenseDevice<half_t> db{dev.alloc<half_t>(std::size_t{256} * 256), 256, 256,
+                           256, Layout::kRowMajor};
+    DenseDevice<half_t> dc{dev.alloc<half_t>(std::size_t{512} * 256), 512, 256,
+                           256, Layout::kRowMajor};
+    return spmm_fpu_subwarp(dev, da, db, dc,
+                            SpmmFpuParams{.tile_n = tile_n, .tile_k = tile_k})
+        .cycles(hw);
+  };
+  for (int tile_k : {16, 32}) {
+    const double narrow = cycles(16, tile_k);
+    EXPECT_LT(narrow, cycles(32, tile_k)) << "tile_k=" << tile_k;
+    EXPECT_LT(narrow, cycles(64, tile_k)) << "tile_k=" << tile_k;
+  }
+}
+
+// A lane loads its tile_n/8-wide B slice as one 2, 4, 8 or 16 B access,
+// so only those widths run; any other tile_n is a parameter error
+// raised before the launch.
+TEST(SpmmFpu, RejectsTileWidthsTheBodyCannotRun) {
+  gpusim::Device dev(test_config());
+  Rng rng(13);
+  const Cvs a = make_cvs(32, 64, 1, 0.5, rng);
+  const auto da = to_device(dev, a);
+  const std::vector<float> ones(a.values.size(), 1.0f);
+  const CvsDeviceT<float> da_f32{dev.alloc_copy<std::int32_t>(a.row_ptr),
+                                 dev.alloc_copy<std::int32_t>(a.col_idx),
+                                 dev.alloc_copy<float>(ones), 32, 64, 1};
+  const auto run = [&](bool f32, int tile_n) {
+    const int n = 2 * tile_n;
+    const SpmmFpuParams params{.tile_n = tile_n};
+    if (f32) {
+      auto db = to_device(dev, DenseMatrix<float>(64, n));
+      auto dc = to_device(dev, DenseMatrix<float>(32, n));
+      spmm_fpu_subwarp_f32(dev, da_f32, db, dc, params);
+    } else {
+      auto db = to_device(dev, DenseMatrix<half_t>(64, n));
+      auto dc = to_device(dev, DenseMatrix<half_t>(32, n));
+      spmm_fpu_subwarp(dev, da, db, dc, params);
+    }
+  };
+  const struct {
+    bool f32;
+    std::vector<int> runs, rejected;
+  } cases[] = {{false, {8, 16, 32, 64}, {24, 40, 48, 56}},
+               {true, {8, 16, 32}, {24, 64}}};
+  for (const auto& c : cases) {
+    for (int tile_n : c.runs) {
+      EXPECT_NO_THROW(run(c.f32, tile_n)) << "f32=" << c.f32 << " " << tile_n;
+    }
+    for (int tile_n : c.rejected) {
+      const std::string name = "tile_n=" + std::to_string(tile_n);
+      try {
+        run(c.f32, tile_n);
+        ADD_FAILURE() << "f32=" << c.f32 << " " << name << " was accepted";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << "f32=" << c.f32 << ": " << e.what();
+      }
+    }
+  }
 }
 
 TEST(SpmmFpu, SinglePrecisionMatchesReference) {

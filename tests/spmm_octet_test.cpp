@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "vsparse/bench/summary.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/reference.hpp"
@@ -116,6 +119,60 @@ TEST(SpmmOctet, ResidueHandling) {
     DenseMatrix<half_t> b(64, 64);
     b.fill_random_int(rng);
     expect_matches_reference(a, b);
+  }
+}
+
+// §8 Case 2 (global attention): two fully dense vector rows among
+// empty ones, the extreme row-length imbalance.
+TEST(SpmmOctet, GlobalAttentionRowsAmongEmptyRows) {
+  constexpr int kM = 64, kK = 128, kN = 64, kV = 8;
+  Rng rng(7);
+  Cvs a;
+  a.rows = kM;
+  a.cols = kK;
+  a.v = kV;
+  a.row_ptr.push_back(0);
+  for (int vr = 0; vr < kM / kV; ++vr) {
+    if (vr == 2 || vr == 5) {
+      for (int c = 0; c < kK; ++c) a.col_idx.push_back(c);
+    }
+    a.row_ptr.push_back(static_cast<std::int32_t>(a.col_idx.size()));
+  }
+  a.values.resize(a.col_idx.size() * kV);
+  for (half_t& h : a.values) {
+    h = half_t(static_cast<float>(rng.uniform_int(-2, 2)));
+  }
+  a.validate();
+  DenseMatrix<half_t> b(kK, kN);
+  b.fill_random_int(rng);
+  expect_matches_reference(a, b);
+}
+
+// §5.4: issuing all TileK/4 loads before the MMAs (batch_loads) beats
+// interleaving them at every TileK, in geomean V100 model cycles over
+// two seeded 256 x 256 V = 4 operands at N = 128.
+TEST(SpmmOctet, BatchedLoadsBeatUnbatchedAtEveryTileK) {
+  Rng rng(4);
+  const Cvs problems[] = {make_cvs(256, 256, 4, 0.9, rng),
+                          make_cvs(256, 256, 4, 0.7, rng)};
+  const gpusim::DeviceConfig hw = gpusim::DeviceConfig::volta_v100();
+  const auto geomean_cycles = [&](const SpmmOctetParams& params) {
+    std::vector<double> cycles;
+    for (const Cvs& a : problems) {
+      gpusim::Device dev(hw);
+      CvsDevice da = to_device(dev, a);
+      DenseDevice<half_t> db{dev.alloc<half_t>(std::size_t{256} * 128), 256,
+                             128, 128, Layout::kRowMajor};
+      DenseDevice<half_t> dc{dev.alloc<half_t>(std::size_t{256} * 128), 256,
+                             128, 128, Layout::kRowMajor};
+      cycles.push_back(spmm_octet(dev, da, db, dc, params).cycles(hw));
+    }
+    return bench::geomean(cycles);
+  };
+  for (int tile_k : {8, 16, 32}) {
+    EXPECT_LT(geomean_cycles({.tile_k = tile_k, .batch_loads = true}),
+              geomean_cycles({.tile_k = tile_k, .batch_loads = false}))
+        << "tile_k=" << tile_k;
   }
 }
 

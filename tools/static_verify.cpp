@@ -2,19 +2,20 @@
 // the dense GEMM / softmax entry points) over the builtin shape
 // classes, per architecture preset, by running each at the corners of
 // every class under all four sanitizer tools (gpusim/verify/
-// verifier.hpp), and emits the vsparse-static-v1 certificate store.
+// verifier.hpp).  Prints each refuted or unknown verdict and a
+// one-line tally.
 //
-//   static_verify [--arch=all|NAME] [--out=CERTS.json] [--quiet]
+//   static_verify [--arch=all|NAME]
 //
-// Exit 0: no refuted verdicts.  Exit 1: at least one refutation.
-// Exit 2: bad usage / unknown preset.
+// Exit 0: every verdict proved.  Exit 1: at least one refuted or
+// unknown verdict.  Exit 2: bad usage / unknown preset.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "vsparse/gpusim/arch.hpp"
-#include "vsparse/gpusim/verify/certs.hpp"
+#include "vsparse/gpusim/verify/verifier.hpp"
 
 namespace {
 
@@ -22,20 +23,13 @@ using namespace vsparse;
 
 int run(int argc, char** argv) {
   std::string arch_spec = "all";
-  std::string out_path;
-  bool quiet = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--arch=", 7) == 0) {
       arch_spec = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
     } else {
       std::fprintf(stderr,
                    "static_verify: unknown flag %s\n"
-                   "usage: static_verify [--arch=all|NAME] [--out=FILE] "
-                   "[--quiet]\n",
+                   "usage: static_verify [--arch=all|NAME]\n",
                    argv[i]);
       return 2;
     }
@@ -78,24 +72,18 @@ int run(int argc, char** argv) {
         break;
       case verify::VerdictKind::kUnknown:
         ++unknown;
-        if (!quiet) {
-          std::printf("static_verify: unknown %s over %s on %s (%s)\n",
-                      entry.kernel.c_str(), entry.cls.name.c_str(),
-                      entry.arch.c_str(), v.detail.c_str());
-        }
+        std::fprintf(stderr, "static_verify: UNKNOWN %s over %s on %s (%s)\n",
+                     entry.kernel.c_str(), entry.cls.name.c_str(),
+                     entry.arch.c_str(), v.detail.c_str());
         break;
     }
   }
 
-  if (!out_path.empty()) verify::save_certs(out_path, entries);
-
-  if (!quiet) {
-    std::printf(
-        "static_verify: %d proved, %d refuted, %d unknown across %zu "
-        "preset(s)\n",
-        proved, refuted, unknown, archs.size());
-  }
-  return refuted == 0 ? 0 : 1;
+  std::printf(
+      "static_verify: %d proved, %d refuted, %d unknown across %zu "
+      "preset(s)\n",
+      proved, refuted, unknown, archs.size());
+  return refuted == 0 && unknown == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -34,11 +34,6 @@ SANITIZER_TOOLS = ("race", "sync", "init", "bounds")
 _errors = []
 
 
-def reset():
-    """Clear the accumulator (tests that validate several artifacts)."""
-    del _errors[:]
-
-
 def check(cond, msg):
     """Record `msg` as a finding when `cond` is falsy; returns the
     condition so callers can guard dependent checks."""
@@ -63,11 +58,6 @@ def is_uint(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def is_number(x):
-    """An int or float that is not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def load_json(path):
     """Parse `path` as JSON; records a finding and returns None when the
     file is missing or malformed."""
@@ -79,12 +69,12 @@ def load_json(path):
         return None
 
 
-def check_schema(doc, tag, key="schema"):
-    """Top-level shape + version-tag check shared by every artifact."""
+def check_schema(doc, tag):
+    """Top-level shape + schema-tag check."""
     if not check(isinstance(doc, dict), "top level is not an object"):
         return False
-    return check(doc.get(key) == tag,
-                 f"{key} is {doc.get(key)!r}, want {tag!r}")
+    return check(doc.get("schema") == tag,
+                 f"schema is {doc.get('schema')!r}, want {tag!r}")
 
 
 def report_errors(prefix="", file=None):
