@@ -47,9 +47,13 @@ Cvs sddmm_reference(const DenseMatrix<half_t>& a, const DenseMatrix<half_t>& b,
       for (int t = 0; t < mask.v; ++t) {
         const int row = vr * mask.v + t;
         float sum = 0.0f;
-        for (int k = 0; k < a.cols(); ++k) {
-          sum += static_cast<float>(a.at(row, k)) *
-                 static_cast<float>(b.at(k, col));
+        for (int k0 = 0; k0 < a.cols(); k0 += kSddmmTileK) {
+          float partial = 0.0f;
+          for (int k = k0; k < std::min(k0 + kSddmmTileK, a.cols()); ++k) {
+            partial += static_cast<float>(a.at(row, k)) *
+                       static_cast<float>(b.at(k, col));
+          }
+          sum += partial;
         }
         const float m = static_cast<float>(
             mask.values[static_cast<std::size_t>(i) *

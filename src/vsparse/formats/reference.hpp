@@ -55,10 +55,18 @@ DenseMatrix<T> spmm_csr_reference(const Csr<T>& a, const DenseMatrix<T>& b) {
   return c;
 }
 
+/// Width of the k-tiles the SDDMM reference folds over: the K stride
+/// of the octet, WMMA and FPU SDDMM kernels (§6.4).
+inline constexpr int kSddmmTileK = 64;
+
 /// SDDMM: C = (A[MxK] * B[KxN]) masked to the pattern of `mask`
 /// (a CVS-encoded binary mask).  Returns the nonzero values in the
 /// mask's storage order (a Cvs sharing the mask's pattern).
-/// B is expected column-major (§4.1).
+/// B is expected column-major (§4.1).  Each output folds as the tiled
+/// kernels do: one fp32 partial per kSddmmTileK-wide k-tile, starting
+/// at +0 and adding its products in ascending k, then added to the
+/// output's running sum.  The fold order shows in the result bits
+/// whenever K > kSddmmTileK and the sums round.
 Cvs sddmm_reference(const DenseMatrix<half_t>& a, const DenseMatrix<half_t>& b,
                     const Cvs& mask);
 

@@ -5,6 +5,7 @@
 
 #include "vsparse/common/math.hpp"
 #include "vsparse/fp16/vec.hpp"
+#include "vsparse/kernels/sddmm/k_tile_fold.hpp"
 
 namespace vsparse::kernels {
 
@@ -14,10 +15,10 @@ using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;
 using gpusim::Warp;
+using sddmm_detail::kTileK;  // K slice per stride; 8 per thread (LDG.128)
 
 constexpr int kSubwarpSize = 8;
 constexpr int kSubwarps = 4;
-constexpr int kTileK = 64;  // K slice per stride; 8 per thread (LDG.128)
 
 template <class T>
 KernelRun sddmm_fpu_impl(gpusim::Device& dev, const DenseDevice<T>& a,
@@ -31,6 +32,8 @@ KernelRun sddmm_fpu_impl(gpusim::Device& dev, const DenseDevice<T>& a,
   VSPARSE_CHECK(mask.rows == m && mask.cols == n);
   VSPARSE_CHECK(a.layout == Layout::kRowMajor);
   VSPARSE_CHECK(b.layout == Layout::kColMajor);
+  sddmm_detail::check_16b_aligned(a, "A");
+  sddmm_detail::check_16b_aligned(b, "B");
   VSPARSE_CHECK(v == 1 || v == 2 || v == 4 || v == 8);
   VSPARSE_CHECK(out_values.size() ==
                 mask.col_idx.size() * static_cast<std::size_t>(v));
@@ -82,20 +85,21 @@ KernelRun sddmm_fpu_impl(gpusim::Device& dev, const DenseDevice<T>& a,
 
     // Column indices for the CTA's vectors (one coalesced LDG.32):
     // consecutive int32 slots, an affine span with a prefix mask.
-    std::int32_t cols[32 * kSubwarps];
+    // Vector j = s * tile_n + lj belongs to subwarp s.
+    std::int32_t cols[sddmm_detail::kMaxCols];
     {
-      const int nl = std::min(jcnt, 32);
-      const std::uint32_t msk = nl >= 32 ? 0xFFFFFFFFu : (1u << nl) - 1u;
+      const std::uint32_t msk =
+          jcnt >= 32 ? 0xFFFFFFFFu : (1u << jcnt) - 1u;
       Lanes<std::int32_t> d{};
       w.ldg_span(mask.col_idx.addr(static_cast<std::size_t>(j0)), 4, d, msk);
-      for (int l = 0; l < nl; ++l) {
+      for (int l = 0; l < jcnt; ++l) {
         cols[l] = d[static_cast<std::size_t>(l)];
       }
     }
 
-    // acc[subwarp][local j][t] fp32 partial sums (per-thread V x TileN
-    // in the real kernel; threads' K slices are summed at the end).
-    float acc[kSubwarps][32][8] = {};
+    // acc[j][t] fp32 partial sums (per-thread V x TileN in the real
+    // kernel; threads' K slices are summed at the end).
+    float acc[sddmm_detail::kMaxCols][8] = {};
 
     for (int k0 = 0; k0 < k; k0 += kTileK) {
       const int kcnt = std::min(kTileK, k - k0);
@@ -161,27 +165,10 @@ KernelRun sddmm_fpu_impl(gpusim::Device& dev, const DenseDevice<T>& a,
         } else {
           w.count(Op::kFfma, static_cast<std::uint64_t>(8 * v));
         }
-        // Functional math for all active (s, j).
-        for (int s = 0; s < kSubwarps; ++s) {
-          const int j = s * tile_n + lj;
-          if (j >= jcnt) continue;
-          const std::int32_t col = cols[j];
-          for (int t = 0; t < v; ++t) {
-            float sum = 0.0f;
-            const T* arow = &a_host[static_cast<std::size_t>(vr * v + t) *
-                                        static_cast<std::size_t>(a.ld) +
-                                    static_cast<std::size_t>(k0)];
-            const T* bcol = &b_host[static_cast<std::size_t>(col) *
-                                        static_cast<std::size_t>(b.ld) +
-                                    static_cast<std::size_t>(k0)];
-            for (int kk = 0; kk < kcnt; ++kk) {
-              sum +=
-                  static_cast<float>(arow[kk]) * static_cast<float>(bcol[kk]);
-            }
-            acc[s][lj][t] += sum;
-          }
-        }
       }
+      // Functional math for every active (s, lj) of the k-tile.
+      sddmm_detail::fold_k_tile(a_host.data(), a.ld, b_host.data(), b.ld,
+                                vr * v, k0, kcnt, cols, jcnt, v, acc);
     }
 
     // ---- subwarp butterfly reduction: 3 rounds per partial sum -------
@@ -203,15 +190,13 @@ KernelRun sddmm_fpu_impl(gpusim::Device& dev, const DenseDevice<T>& a,
       Lanes<std::array<T, 8>> frag{};
       for (int lane = 0; lane < nl; ++lane) {
         const int l = pass * 32 + lane;
-        const int s = l / tile_n;
-        const int lj = l % tile_n;
         for (int t = 0; t < v; ++t) {
           const float mv = static_cast<float>(
               mask_vals[static_cast<std::size_t>(j0 + l) *
                             static_cast<std::size_t>(v) +
                         static_cast<std::size_t>(t)]);
           frag[static_cast<std::size_t>(lane)][static_cast<std::size_t>(t)] =
-              T(acc[s][lj][t] * mv);
+              T(acc[l][t] * mv);
         }
       }
       // Width V elements per lane.

@@ -5,6 +5,7 @@
 
 #include "vsparse/common/math.hpp"
 #include "vsparse/fp16/vec.hpp"
+#include "vsparse/kernels/sddmm/k_tile_fold.hpp"
 
 namespace vsparse::kernels {
 
@@ -14,9 +15,9 @@ using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;
 using gpusim::Warp;
+using sddmm_detail::kTileK;
 
-constexpr int kTileN = 32;  // nonzero output vectors per CTA (§6.4)
-constexpr int kTileK = 64;  // K stride (§6.4)
+constexpr int kTileN = sddmm_detail::kMaxCols;  // vectors per CTA (§6.4)
 
 const char* mode_suffix(InvertedPatternMode mode) {
   switch (mode) {
@@ -44,6 +45,8 @@ KernelRun sddmm_octet(gpusim::Device& dev, const DenseDevice<half_t>& a,
   VSPARSE_CHECK(a.layout == Layout::kRowMajor);
   VSPARSE_CHECK_MSG(b.layout == Layout::kColMajor,
                     "sddmm expects a column-major RHS (§4.1)");
+  sddmm_detail::check_16b_aligned(a, "A");
+  sddmm_detail::check_16b_aligned(b, "B");
   VSPARSE_CHECK(v == 2 || v == 4 || v == 8);
   VSPARSE_CHECK(out_values.size() ==
                 mask.col_idx.size() * static_cast<std::size_t>(v));
@@ -159,27 +162,11 @@ KernelRun sddmm_octet(gpusim::Device& dev, const DenseDevice<half_t>& a,
           // thread groups i and i+4 before issue.
           w.count(Op::kShfl, 8);
         }
-        // Functional math (operands were loaded above; values are
-        // identical to the fragment contents).
-        for (int j = jbase; j < std::min(jbase + 8, jcnt); ++j) {
-          const std::int32_t col = cols[j];
-          for (int t = 0; t < v; ++t) {
-            float sum = 0.0f;
-            const half_t* arow =
-                &a_host[static_cast<std::size_t>(vr * v + t) *
-                            static_cast<std::size_t>(a.ld) +
-                        static_cast<std::size_t>(k0)];
-            const half_t* bcol =
-                &b_host[static_cast<std::size_t>(col) *
-                            static_cast<std::size_t>(b.ld) +
-                        static_cast<std::size_t>(k0)];
-            for (int kk = 0; kk < kcnt; ++kk) {
-              sum += static_cast<float>(arow[kk]) * static_cast<float>(bcol[kk]);
-            }
-            acc[j][t] += sum;
-          }
-        }
       }
+      // Functional math for the whole k-tile (operands were loaded
+      // above; values are identical to the fragment contents).
+      sddmm_detail::fold_k_tile(a_host.data(), a.ld, b_host.data(), b.ld,
+                                vr * v, k0, kcnt, cols, jcnt, v, acc);
     }
 
     // ---- combine the octet partial sums with warp shuffles ----------

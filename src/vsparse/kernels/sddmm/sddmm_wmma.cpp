@@ -5,6 +5,7 @@
 
 #include "vsparse/common/math.hpp"
 #include "vsparse/fp16/vec.hpp"
+#include "vsparse/kernels/sddmm/k_tile_fold.hpp"
 
 namespace vsparse::kernels {
 
@@ -15,9 +16,9 @@ using gpusim::Cta;
 using gpusim::Lanes;
 using gpusim::Op;
 using gpusim::Warp;
+using sddmm_detail::kTileK;
 
-constexpr int kTileN = 32;  // must be a multiple of 32 (§6.2)
-constexpr int kTileK = 64;
+constexpr int kTileN = sddmm_detail::kMaxCols;  // a multiple of 32 (§6.2)
 
 }  // namespace
 
@@ -31,6 +32,8 @@ KernelRun sddmm_wmma_warp(gpusim::Device& dev, const DenseDevice<half_t>& a,
   VSPARSE_CHECK(mask.rows == m && mask.cols == n);
   VSPARSE_CHECK(a.layout == Layout::kRowMajor);
   VSPARSE_CHECK(b.layout == Layout::kColMajor);
+  sddmm_detail::check_16b_aligned(a, "A");
+  sddmm_detail::check_16b_aligned(b, "B");
   VSPARSE_CHECK(v == 2 || v == 4 || v == 8);
   VSPARSE_CHECK(out_values.size() ==
                 mask.col_idx.size() * static_cast<std::size_t>(v));
@@ -139,22 +142,8 @@ KernelRun sddmm_wmma_warp(gpusim::Device& dev, const DenseDevice<half_t>& a,
       // ---- 4 zero-padded wmma.m8n32k16 per K stride ------------------
       // Executed regardless of jcnt (the §6.2 residue overhead).
       w.count(Op::kHmma, 64);
-      for (int j = 0; j < jcnt; ++j) {
-        const std::int32_t col = cols[j];
-        for (int t = 0; t < v; ++t) {
-          float sum = 0.0f;
-          const half_t* arow = &a_host[static_cast<std::size_t>(vr * v + t) *
-                                           static_cast<std::size_t>(a.ld) +
-                                       static_cast<std::size_t>(k0)];
-          const half_t* bcol = &b_host[static_cast<std::size_t>(col) *
-                                           static_cast<std::size_t>(b.ld) +
-                                       static_cast<std::size_t>(k0)];
-          for (int kk = 0; kk < kcnt; ++kk) {
-            sum += static_cast<float>(arow[kk]) * static_cast<float>(bcol[kk]);
-          }
-          acc[j][t] += sum;
-        }
-      }
+      sddmm_detail::fold_k_tile(a_host.data(), a.ld, b_host.data(), b.ld,
+                                vr * v, k0, kcnt, cols, jcnt, v, acc);
     }
 
     // ---- mask, convert, write back ------------------------------------

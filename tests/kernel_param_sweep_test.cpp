@@ -102,11 +102,13 @@ INSTANTIATE_TEST_SUITE_P(Grid, FpuTileSweep,
 class SddmmFpuTileSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SddmmFpuTileSweep, BitExactForEveryTileN) {
+  // Operands uniform in (-1, 1) over two k-tiles: every output must land
+  // in acc[s * tile_n + lj] and fold per 64-wide tile to match.
   const int tile_n = GetParam();
   Rng rng(8);
-  DenseMatrix<half_t> a(16, 64), b(64, 96, Layout::kColMajor);
-  a.fill_random_int(rng);
-  b.fill_random_int(rng);
+  DenseMatrix<half_t> a(16, 128), b(128, 96, Layout::kColMajor);
+  a.fill_random(rng);
+  b.fill_random(rng);
   Cvs mask = make_cvs_mask(16, 96, 4, 0.6, rng);
   Cvs ref = sddmm_reference(a, b, mask);
   gpusim::Device dev(test_config());
