@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "vsparse/common/env.hpp"
+#include "vsparse/common/json.hpp"
 #include "vsparse/common/macros.hpp"
 #include "vsparse/formats/dense.hpp"
 #include "vsparse/gpusim/arch.hpp"
@@ -110,38 +111,6 @@ void DriverSession::announce_arch() const {
 namespace {
 
 bool g_any_case_failed = false;
-
-/// Minimal JSON string escaping for the case-error records.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 void report_case_error(const std::string& name, const std::string& what) {
   std::printf("# case-error: {\"case\":\"%s\",\"error\":\"%s\"}\n",

@@ -54,14 +54,14 @@ struct MmaFlags {
 ///
 /// Span ops are counter- and bit-exact with their per-lane forms by
 /// construction (DESIGN.md §2h gives the equivalence argument), and
-/// they *self-divert*: when a sanitizer or fault plan is attached, a
-/// global span is not one contiguous lane run per segment with a stride
-/// of at most 32 B, or a shared-memory hull check fails and per-lane
-/// reporting is owed, the span op expands its descriptor into lane
-/// arrays and runs the per-lane path, so the slow diagnostic surfaces
-/// see exactly the per-lane access sequence.  Kernels should state
-/// patterns with span ops and reserve hand-built lane arrays for
-/// genuinely divergent accesses.
+/// they *self-divert*: when a sanitizer is attached, a fault plan is
+/// attached (ldg_span only), a global span is not one contiguous lane
+/// run per segment with a stride of at most 32 B, or a shared-memory
+/// hull check fails and per-lane reporting is owed, the span op expands
+/// its descriptor into lane arrays and runs the per-lane path, so the
+/// slow diagnostic surfaces see exactly the per-lane access sequence.
+/// Kernels should state patterns with span ops and reserve hand-built
+/// lane arrays for genuinely divergent accesses.
 class Warp {
  public:
   Warp(Cta* cta, int warp_id) : cta_(cta), warp_id_(warp_id) {}

@@ -102,7 +102,6 @@ void finish_sanitizer(Sanitizer& sink, const LaunchConfig& cfg,
   std::set<SmSanitizer::Key> seen;
   for (const SmSanitizer& s : sans) {
     rec.suppressed += s.suppressed();
-    rec.span_fastpath_ops += s.span_fastpath_ops();
     for (const SanitizerReport& r : s.reports()) {
       if (!seen.insert(SmSanitizer::key(r)).second) continue;
       if (rec.reports.size() >= opts.max_reports) {

@@ -18,16 +18,16 @@
 // warp execution.
 //
 // With SimOptions{threads = N} the SM array is sharded across N host
-// worker threads.  The warp ops write only their SM's private,
-// cache-line-aligned SmContext: L2 accesses are appended to the SM's
-// L2Log.  CTAs run in epochs of kEpochRounds CTAs per SM; after each
-// epoch the launching thread replays the logs into the Device's L2 in
-// global CTA order — the order the serial path runs CTAs in — under
-// the Device's L2 mutex.  So functional results and every counter,
-// L2/DRAM included, are bit-exact for any N and equal to the historical
-// serial engine.  Returns the merged hardware counters for the launch.
-// L1s are born cold at launch start (kernel-boundary semantics); L2
-// persists across launches.
+// worker threads; one thread is the one-worker case of the same loop.
+// The warp ops write only their SM's private, cache-line-aligned
+// SmContext: L2 accesses are appended to the SM's L2Log.  CTAs run in
+// epochs of kEpochRounds CTAs per SM; after each epoch the launching
+// thread replays the logs into the Device's L2 in global CTA order
+// under the Device's L2 mutex.  So functional results and every
+// counter, L2/DRAM included, are bit-exact for any N, and so is what an
+// aborted launch leaves behind.  Returns the merged hardware counters
+// for the launch.  L1s are born cold at launch start (kernel-boundary
+// semantics); L2 persists across launches.
 #pragma once
 
 #include <algorithm>
@@ -164,51 +164,39 @@ KernelStats run_launch_direct(Device& dev, const LaunchConfig& cfg,
 
   // Epochs bound the L2 logs' memory: kEpochRounds CTAs per SM run,
   // then the launching thread replays the epoch's logs in CTA order.
+  // Workers claim whole SMs and run each SM's CTAs of the epoch in
+  // launch order (ThreadPool::run runs one worker inline).  A throw
+  // ends only its own SM's list: every other SM still runs its CTAs of
+  // the epoch, whichever worker runs it, so per-SM state after an abort
+  // is the same at any thread count.
   const int epoch_ctas = kEpochRounds * sched.cta_stride();
   std::exception_ptr error;
-  int error_cta = cfg.grid;  // lowest throwing CTA — the serial path's
+  int error_cta = cfg.grid;  // lowest throwing CTA
   for (int first = 0, end = 0; first < cfg.grid && !error; first = end) {
     end = first + std::min(epoch_ctas, cfg.grid - first);
-    if (threads == 1) {
-      // Serial path: CTAs run to completion in *global* launch order.
-      int cta = first;
-      try {
-        for (; cta < end; ++cta) {
-          engine_detail::run_cta_direct(
-              sms[static_cast<std::size_t>(sched.sm_of(cta))], cfg, cta, body);
-        }
-      } catch (...) {
-        error = std::current_exception();
-        error_cta = cta;
-      }
-    } else {
-      // Parallel path: workers claim whole SMs and run each SM's CTAs
-      // of the epoch in launch order.  Per-SM state sees the same
-      // sequence as the serial path.
-      std::mutex error_mu;
-      sched.rewind();
-      ThreadPool::instance().run(threads, [&] {
-        for (int sm; (sm = sched.next_sm()) >= 0;) {
-          SmContext& ctx = sms[static_cast<std::size_t>(sm)];
-          int cta = first + sched.first_cta(sm);
-          try {
-            for (; cta < end; cta += sched.cta_stride()) {
-              engine_detail::run_cta_direct(ctx, cfg, cta, body);
-            }
-          } catch (...) {
-            // Keep the lowest-indexed throwing CTA's error — the one
-            // the serial path raises — whichever SM reports first.
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (cta < error_cta) {
-              error_cta = cta;
-              error = std::current_exception();
-            }
+    std::mutex error_mu;
+    sched.rewind();
+    ThreadPool::instance().run(threads, [&] {
+      for (int sm; (sm = sched.next_sm()) >= 0;) {
+        SmContext& ctx = sms[static_cast<std::size_t>(sm)];
+        int cta = first + sched.first_cta(sm);
+        try {
+          for (; cta < end; cta += sched.cta_stride()) {
+            engine_detail::run_cta_direct(ctx, cfg, cta, body);
+          }
+        } catch (...) {
+          // Keep the lowest-indexed throwing CTA's error, whichever SM
+          // reports first.
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (cta < error_cta) {
+            error_cta = cta;
+            error = std::current_exception();
           }
         }
-      });
-    }
+      }
+    });
     // On an error, stop after the throwing CTA's partial log: the L2
-    // then holds what the serial path leaves behind at any thread count.
+    // then holds what CTAs 0..error_cta leave behind in CTA order.
     engine_detail::replay_l2(dev, sms, first, error ? error_cta + 1 : end);
   }
   if (error) {

@@ -1,12 +1,12 @@
 // CTA -> SM assignment and SM -> worker distribution.
 //
-// The assignment is the same round-robin the serial engine always
-// used: CTA c runs on SM (c % num_sms), and one SM's CTAs run to
-// completion in increasing launch order.  That per-SM order is the
-// determinism contract: an SM's L1, shared-memory arena, and counter
-// block see the identical access sequence regardless of how many host
-// threads execute the SM array, so functional results and per-SM
-// counters are bit-exact for any thread count.
+// The assignment is round-robin: SM s runs CTAs s, s + num_sms, ... (its
+// first_cta() then steps of cta_stride()), to completion, in increasing
+// launch order.  That per-SM order is the determinism contract: an
+// SM's L1, shared-memory arena, and counter block see the identical
+// access sequence regardless of how many host threads execute the SM
+// array, so functional results and per-SM counters are bit-exact for
+// any thread count.
 //
 // Workers claim whole SMs from an atomic cursor, once per epoch of the
 // launch (dynamic load balancing across imbalanced SMs); claiming order
@@ -28,9 +28,6 @@ class Scheduler {
 
   int grid() const { return grid_; }
   int num_sms() const { return num_sms_; }
-
-  /// Round-robin home of a CTA — exactly the historical assignment.
-  int sm_of(int cta_id) const { return cta_id % num_sms_; }
 
   /// SMs that receive at least one CTA under round-robin.
   int num_active_sms() const { return grid_ < num_sms_ ? grid_ : num_sms_; }

@@ -18,13 +18,12 @@ struct SimOptions {
   /// Host worker threads the SM array is sharded across.
   ///   0  -> inherit the Device's configured default (which itself
   ///         defaults to 1).
-  ///   1  -> serial: CTAs run to completion in launch order, exactly
-  ///         the historical engine behavior.
-  ///   N  -> N workers; each SM's CTA list still runs in launch order
-  ///         on a single worker, and the L2 replays every SM's logged
-  ///         accesses in CTA order, so functional results and every
-  ///         counter — L2 hit/miss and DRAM bytes included — are
-  ///         bit-identical to threads == 1 for any N.
+  ///   N  -> N workers (1: the launching thread alone); each SM's CTA
+  ///         list runs in launch order on one worker, and the L2
+  ///         replays every SM's logged accesses in CTA order, so
+  ///         functional results and every counter — L2 hit/miss and
+  ///         DRAM bytes included — are bit-identical for any N, for
+  ///         aborted launches too.
   int threads = 0;
 
   /// Optional out-parameter: when non-null, the launch fills it with

@@ -410,7 +410,6 @@ void Warp::lds(const Lanes<std::uint32_t>& off, Lanes<V>& dst,
     san->on_smem_load(warp_id_, off, mask, sizeof(V));
   }
   s.smem_load_requests += 1;
-  FaultState* faults = sm().faults();  // null ⇒ fault-free fast path
 
   detail::BankScan banks;
   std::byte* smem = cta_->smem();
@@ -420,10 +419,6 @@ void Warp::lds(const Lanes<std::uint32_t>& off, Lanes<V>& dst,
     VSPARSE_CHECK_MSG(o + sizeof(V) <= cta_->smem_bytes(),
                       "smem OOB load at offset " << o);
     std::memcpy(&dst[static_cast<std::size_t>(lane)], smem + o, sizeof(V));
-    if (faults != nullptr) [[unlikely]] {
-      faults->on_smem_read(o, &dst[static_cast<std::size_t>(lane)], sizeof(V),
-                           s);
-    }
     banks.add(o / 4);
   }
   s.smem_wavefronts += static_cast<std::uint64_t>(banks.degree()) *
@@ -464,11 +459,13 @@ void Warp::sts(const Lanes<std::uint32_t>& off, const Lanes<V>& src,
 // and the engine services each run of active lanes with one hull
 // translation / bounds check and an interval sector walk or closed-form
 // bank count; DESIGN.md §2h argues counter equivalence case by case.
-// Every other span (a global span that is not one contiguous run per
-// segment with stride <= 32 B, an smem span failing its hull check), and
-// every span under a sanitizer or fault plan, runs the per-lane op on
-// its expanded lanes: its counters equal the reference's by construction
-// and the diagnostics observe the exact per-lane access sequence.
+// Every other span diverts: it runs the per-lane op on its expanded
+// lanes, whose counters equal the reference's by construction.  That
+// is a global span that is not one contiguous run per segment with
+// stride <= 32 B, an smem span failing its hull check, every span under
+// a sanitizer (which then observes the exact per-lane access sequence),
+// and an ldg_span under a fault plan (global-load data is the one
+// memory site a plan strikes, per lane).
 
 template <class V>
 void Warp::ldg_span(const std::uint64_t* seg_base, int segs, int width,
@@ -547,18 +544,9 @@ void Warp::lds_span(const std::uint32_t* seg_off, int segs, int width,
                     std::uint32_t stride, Lanes<V>& dst, std::uint32_t mask) {
   VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
   VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
-  // Racecheck span fast path: a sanitized span that the admission hook
-  // proves in-bounds and overlap-free (via the exact span-overlap
-  // primitive) runs the span memory path below; otherwise it
-  // expands onto the per-lane op for exact per-byte reporting.  A
-  // fault plan always diverts (the fault surface is per-lane).
-  bool divert = sm().faults() != nullptr;
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    divert = divert || !san->on_smem_load_span(warp_id_, seg_off, segs, width,
-                                               stride, mask, sizeof(V));
-  }
-  if (divert || !detail::smem_span_fits<V>(seg_off, segs, width, stride, mask,
-                                           cta_->smem_bytes())) [[unlikely]] {
+  if (sm().sanitizer() != nullptr ||
+      !detail::smem_span_fits<V>(seg_off, segs, width, stride, mask,
+                                 cta_->smem_bytes())) [[unlikely]] {
     Lanes<std::uint32_t> off{};
     detail::expand_span(seg_off, segs, width, stride, off);
     lds(off, dst, mask);
@@ -634,14 +622,9 @@ void Warp::sts_span(const std::uint32_t* seg_off, int segs, int width,
                     std::uint32_t mask) {
   VSPARSE_DCHECK(segs >= 1 && width >= 1 && segs * width <= 32);
   VSPARSE_DCHECK(segs * width >= 32 || (mask >> (segs * width)) == 0);
-  // Same admission contract as lds_span above.
-  bool divert = false;
-  if (SmSanitizer* san = sm().sanitizer()) [[unlikely]] {
-    divert = !san->on_smem_store_span(warp_id_, seg_off, segs, width, stride,
-                                      mask, sizeof(V));
-  }
-  if (divert || !detail::smem_span_fits<V>(seg_off, segs, width, stride, mask,
-                                           cta_->smem_bytes())) [[unlikely]] {
+  if (sm().sanitizer() != nullptr ||
+      !detail::smem_span_fits<V>(seg_off, segs, width, stride, mask,
+                                 cta_->smem_bytes())) [[unlikely]] {
     Lanes<std::uint32_t> off{};
     detail::expand_span(seg_off, segs, width, stride, off);
     sts(off, src, mask);

@@ -44,17 +44,11 @@ int flip_bits(void* data, std::size_t len, int bit, int n_bits) {
   return flipped;
 }
 
-bool ecc_protected(FaultSite site) {
-  return site == FaultSite::kDramRead || site == FaultSite::kL2Line;
-}
-
 }  // namespace
 
 const char* fault_site_name(FaultSite site) {
   switch (site) {
     case FaultSite::kDramRead: return "dram";
-    case FaultSite::kL2Line: return "l2";
-    case FaultSite::kSmemRead: return "smem";
     case FaultSite::kMmaFrag: return "mma";
     default: return "?";
   }
@@ -116,7 +110,7 @@ bool ecc_scrub(FaultState& st, FaultSite site, std::uint64_t addr,
     st.trace->emit(TraceEventKind::kFaultInjected, /*cta=*/-1, /*warp=*/-1,
                    static_cast<std::uint64_t>(site), addr);
   }
-  if (!(plan.ecc() && ecc_protected(site))) return false;
+  if (!(plan.ecc() && site == FaultSite::kDramRead)) return false;
   if (flipped == 1) {
     plan.note_masked();
     ++stats.faults_masked;
@@ -139,8 +133,7 @@ bool ecc_scrub(FaultState& st, FaultSite site, std::uint64_t addr,
 
 void FaultState::on_global_read(std::uint64_t addr, void* data,
                                 std::size_t len, KernelStats& stats) {
-  const std::uint64_t count_dram = site_count[static_cast<int>(FaultSite::kDramRead)]++;
-  const std::uint64_t count_l2 = site_count[static_cast<int>(FaultSite::kL2Line)]++;
+  const std::uint64_t count = dram_reads++;
   auto* bytes = static_cast<std::uint8_t*>(data);
 
   // Targeted upsets: any armed target whose byte address falls inside
@@ -148,8 +141,7 @@ void FaultState::on_global_read(std::uint64_t addr, void* data,
   const auto& targets = plan->targets();
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const FaultTarget& tgt = targets[t];
-    if (tgt.site != FaultSite::kDramRead && tgt.site != FaultSite::kL2Line)
-      continue;
+    if (tgt.site != FaultSite::kDramRead) continue;
     if (tgt.addr < addr || tgt.addr >= addr + len) continue;
     std::uint8_t& armed = plan->fired(t, sm_id);
     if (armed && !tgt.sticky) continue;
@@ -162,63 +154,24 @@ void FaultState::on_global_read(std::uint64_t addr, void* data,
       bytes[off] = saved;  // single-bit: SEC-DED corrected in flight
   }
 
-  // Rate upsets: one decision per site per value read; single-bit.
-  const FaultRates& rates = plan->rates();
-  const struct {
-    FaultSite site;
-    double rate;
-    std::uint64_t count;
-  } rate_sites[] = {
-      {FaultSite::kDramRead, rates.dram_read, count_dram},
-      {FaultSite::kL2Line, rates.l2_line, count_l2},
-  };
-  for (const auto& rs : rate_sites) {
-    if (rs.rate <= 0.0) continue;
-    const std::uint64_t h = decision(plan->seed(), rs.site, sm_id, rs.count);
-    if (!fires(h, rs.rate)) continue;
-    const std::size_t off = static_cast<std::size_t>((h >> 8) % len);
-    const int bit = static_cast<int>((h >> 3) & 7);
-    std::uint8_t saved = bytes[off];
-    flip_bits(bytes + off, len - off, bit, 1);
-    if (ecc_scrub(*this, rs.site, addr + off, 1, stats))
-      bytes[off] = saved;
-  }
-}
-
-void FaultState::on_smem_read(std::uint32_t offset, void* data,
-                              std::size_t len, KernelStats& stats) {
-  const std::uint64_t count = site_count[static_cast<int>(FaultSite::kSmemRead)]++;
-  auto* bytes = static_cast<std::uint8_t*>(data);
-
-  const auto& targets = plan->targets();
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const FaultTarget& tgt = targets[t];
-    if (tgt.site != FaultSite::kSmemRead) continue;
-    if (tgt.addr < offset || tgt.addr >= offset + len) continue;
-    std::uint8_t& armed = plan->fired(t, sm_id);
-    if (armed && !tgt.sticky) continue;
-    armed = 1;
-    const std::size_t off = static_cast<std::size_t>(tgt.addr - offset);
-    const int flipped =
-        flip_bits(bytes + off, len - off, tgt.bit & 7, tgt.n_bits);
-    ecc_scrub(*this, tgt.site, tgt.addr, flipped, stats);
-  }
-
-  const double rate = plan->rates().smem_read;
+  // Rate upsets: one decision per value read; single-bit.
+  const double rate = plan->rates().dram_read;
   if (rate > 0.0) {
     const std::uint64_t h =
-        decision(plan->seed(), FaultSite::kSmemRead, sm_id, count);
+        decision(plan->seed(), FaultSite::kDramRead, sm_id, count);
     if (fires(h, rate)) {
       const std::size_t off = static_cast<std::size_t>((h >> 8) % len);
+      std::uint8_t saved = bytes[off];
       flip_bits(bytes + off, len - off, static_cast<int>((h >> 3) & 7), 1);
-      ecc_scrub(*this, FaultSite::kSmemRead, offset + off, 1, stats);
+      if (ecc_scrub(*this, FaultSite::kDramRead, addr + off, 1, stats))
+        bytes[off] = saved;
     }
   }
 }
 
 void FaultState::on_mma_frags(void* a, std::size_t a_len, void* b,
                               std::size_t b_len, KernelStats& stats) {
-  const std::uint64_t count = site_count[static_cast<int>(FaultSite::kMmaFrag)]++;
+  const std::uint64_t count = mma_calls++;
 
   // For kMmaFrag, FaultTarget::addr is this SM's MMA call index and
   // FaultTarget::bit is the flat bit index into the A|B byte stream.

@@ -13,17 +13,13 @@
 // Injection sites (FaultSite):
 //   * kDramRead — data returned by a global load (LDG), modeling an
 //     upset in the DRAM cell / on the return path.
-//   * kL2Line  — same hook point, modeling an upset in the L2 line the
-//     load was served from.  Kept as a separate site so campaigns can
-//     weight DRAM and SRAM rates independently.
-//   * kSmemRead — data returned by a shared-memory load (LDS).
 //   * kMmaFrag  — an operand register fragment of a tensor-core MMA.
 //
-// ECC model: when FaultPlan::ecc is set, DRAM and L2 sites get SEC-DED
+// ECC model: when FaultPlan::ecc is set, the DRAM site gets SEC-DED
 // semantics — a single-bit upset is corrected in flight (counted as
 // masked, data untouched) and a double-bit upset is *detected*: the
-// load raises EccError instead of silently corrupting data.  Shared
-// memory and register fragments are not ECC-protected in this model.
+// load raises EccError instead of silently corrupting data.  Register
+// fragments are not ECC-protected in this model.
 //
 // Determinism contract (see DESIGN.md "Fault model"): every injection
 // decision is a pure function of (plan seed, site, sm_id, that SM's
@@ -53,22 +49,19 @@ namespace vsparse::gpusim {
 struct KernelStats;
 class SmTrace;
 
-/// Where in the modeled machine a fault strikes.
+/// Where in the modeled machine a fault strikes.  The values are fixed:
+/// a site's value seeds its rate decisions and is the `site` field of
+/// exported fault trace events.
 enum class FaultSite : std::uint8_t {
   kDramRead = 0,  ///< global-load data (DRAM cell / return path)
-  kL2Line,        ///< global-load data attributed to the L2 line
-  kSmemRead,      ///< shared-memory load data
-  kMmaFrag,       ///< tensor-core operand register fragment
-  kNumSites
+  kMmaFrag = 3,   ///< tensor-core operand register fragment
 };
 
-constexpr int kNumFaultSites = static_cast<int>(FaultSite::kNumSites);
-
-/// Human-readable site name ("dram", "l2", "smem", "mma").
+/// Human-readable site name ("dram", "mma").
 const char* fault_site_name(FaultSite site);
 
-/// A detected-uncorrectable ECC event: a double-bit upset on a DRAM or
-/// L2 read with ECC enabled.  Carries the site and the device address
+/// A detected-uncorrectable ECC event: a double-bit upset on a DRAM
+/// read with ECC enabled.  Carries the site and the device address
 /// of the poisoned word so callers can map it back to an operand.
 /// Classified ErrorCode::kEccUncorrectable (retryable — the upset may
 /// be transient) in the serving taxonomy.
@@ -99,12 +92,12 @@ class LaunchTimeoutError : public vsparse::Error {
       : vsparse::Error(ErrorCode::kLaunchTimeout, "gpusim.watchdog", what) {}
 };
 
-/// One targeted upset.  `addr` is a device byte address for kDramRead /
-/// kL2Line, a CTA shared-memory byte offset for kSmemRead, and a per-SM
-/// MMA call index for kMmaFrag.  `bit` selects the bit within that byte
-/// (memory sites) or the flat bit index into the concatenated A|B
-/// fragment bytes (kMmaFrag); `n_bits` adjacent bits are flipped, so
-/// n_bits == 2 exercises the SEC-DED detected-uncorrectable path.
+/// One targeted upset.  `addr` is a device byte address for kDramRead
+/// and a per-SM MMA call index for kMmaFrag.  `bit` selects the bit
+/// within that byte (kDramRead) or the flat bit index into the
+/// concatenated A|B fragment bytes (kMmaFrag); `n_bits` adjacent bits
+/// are flipped, so n_bits == 2 exercises the SEC-DED
+/// detected-uncorrectable path.
 struct FaultTarget {
   FaultSite site = FaultSite::kDramRead;
   std::uint64_t addr = 0;
@@ -113,13 +106,11 @@ struct FaultTarget {
   bool sticky = false;  ///< hard fault: fire on every matching access
 };
 
-/// Per-site random upset probabilities (per lane value read for the
-/// memory sites, per MMA call for kMmaFrag).  Rate faults are
-/// single-bit; the flipped bit is chosen by the decision hash.
+/// Per-site random upset probabilities (per lane value read for
+/// kDramRead, per MMA call for kMmaFrag).  Rate faults are single-bit;
+/// the flipped bit is chosen by the decision hash.
 struct FaultRates {
   double dram_read = 0.0;
-  double l2_line = 0.0;
-  double smem_read = 0.0;
   double mma_frag = 0.0;
 };
 
@@ -188,18 +179,14 @@ struct FaultState {
   FaultPlan* plan = nullptr;
   int sm_id = 0;
   SmTrace* trace = nullptr;  ///< per-launch trace buffer (null = untraced)
-  std::uint64_t site_count[kNumFaultSites] = {};
+  std::uint64_t dram_reads = 0;  ///< lane values this SM's loads returned
+  std::uint64_t mma_calls = 0;   ///< MMAs this SM issued
 
-  /// Global-load return data: applies kDramRead then kL2Line faults to
-  /// the `len` bytes at `data` read from device address `addr`.
-  /// Corrects/detects per the ECC model; throws EccError on a detected
-  /// double-bit upset.
+  /// Global-load return data: applies kDramRead faults to the `len`
+  /// bytes at `data` read from device address `addr`.  Corrects/detects
+  /// per the ECC model; throws EccError on a detected double-bit upset.
   void on_global_read(std::uint64_t addr, void* data, std::size_t len,
                       KernelStats& stats);
-
-  /// Shared-memory load return data (`offset` = CTA smem byte offset).
-  void on_smem_read(std::uint32_t offset, void* data, std::size_t len,
-                    KernelStats& stats);
 
   /// Tensor-core operand fragments, as raw bytes (A then B).  Callers
   /// pass mutable copies of the fragments.

@@ -32,17 +32,6 @@ struct SanitizerOptions {
   bool init = true;    ///< reads of never-written smem / freed device mem
   bool bounds = true;  ///< smem bounds, device red-zone guards
 
-  /// Racecheck span fast path: a span op whose descriptor is provably
-  /// in-bounds and — by the exact span-overlap primitive
-  /// (gpusim/verify/span_set.hpp) — disjoint from every cross-warp
-  /// same-epoch access logged this CTA skips the per-byte shadow walk;
-  /// its footprint is logged once and replayed into the shadow only if
-  /// a later op needs the per-byte state.  Reports are identical with
-  /// the flag on or off (a possibly-conflicting or out-of-bounds span
-  /// always falls back to the exact per-lane path).  Initcheck needs
-  /// per-byte write tracking, so `init` disables the fast path.
-  bool span_fastpath = true;
-
   /// Per-launch cap on merged reports delivered to the sink (reports
   /// beyond the cap are counted as suppressed, never silently dropped).
   /// Deduplication happens first, so the cap only matters for launches

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "vsparse/common/json.hpp"
+
 namespace vsparse::gpusim {
 
 const char* sanitizer_tool_name(SanitizerTool tool) {
@@ -119,34 +121,6 @@ std::uint64_t Sanitizer::num_reports(SanitizerTool tool) const {
 
 namespace {
 
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
 void site_json(std::ostream& os, const HazardSite& site) {
   os << "{\"warp\": " << site.warp << ", \"op\": \"" << op_name(site.op)
      << "\", \"cta_op\": " << site.cta_op << '}';
@@ -185,13 +159,12 @@ std::string sanitizer_json(const Sanitizer& sink) {
     os << (first_launch ? "\n" : ",\n");
     first_launch = false;
     os << "    {\n      \"index\": " << index++ << ",\n      \"kernel\": \"";
-    json_escape(os, launch.kernel);
+    os << json_escape(launch.kernel);
     os << "\",\n      \"grid\": " << launch.grid
        << ",\n      \"cta_threads\": " << launch.cta_threads
        << ",\n      \"smem_bytes\": " << launch.smem_bytes
        << ",\n      \"aborted\": " << (launch.aborted ? "true" : "false")
        << ",\n      \"suppressed\": " << launch.suppressed
-       << ",\n      \"span_fastpath_ops\": " << launch.span_fastpath_ops
        << ",\n      \"reports\": [";
     bool first_report = true;
     for (const SanitizerReport& report : launch.reports) {
@@ -206,7 +179,7 @@ std::string sanitizer_json(const Sanitizer& sink) {
       os << ", \"second\": ";
       site_json(os, report.second);
       os << ",\n         \"detail\": \"";
-      json_escape(os, report.detail);
+      os << json_escape(report.detail);
       os << "\"}";
     }
     os << (first_report ? "]" : "\n      ]") << "\n    }";

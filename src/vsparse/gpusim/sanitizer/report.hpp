@@ -95,9 +95,6 @@ struct LaunchSanitizerRecord {
   std::size_t smem_bytes = 0;
   bool aborted = false;  ///< launch unwound via an exception
   std::uint64_t suppressed = 0;  ///< deduped-but-over-cap report count
-  /// Smem span ops admitted on the racecheck fast path (descriptor
-  /// proven in-bounds and overlap-free; per-byte shadow walk skipped).
-  std::uint64_t span_fastpath_ops = 0;
   std::vector<SanitizerReport> reports;
 
   bool operator==(const LaunchSanitizerRecord&) const = default;

@@ -1,7 +1,6 @@
 #include "vsparse/gpusim/sanitizer/shadow.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "vsparse/gpusim/trace/trace.hpp"
@@ -27,8 +26,6 @@ void SmSanitizer::on_cta_begin(int cta_id, int num_warps) {
   cta_id_ = cta_id;
   cta_op_ = 0;
   arrivals_.assign(static_cast<std::size_t>(num_warps), 0);
-  span_log_.clear();
-  materialized_ = 0;
 }
 
 void SmSanitizer::on_cta_end() {
@@ -93,143 +90,19 @@ struct Agg {
   }
 };
 
-/// Active lanes of segment `seg` as a width-bit mask (the span ops'
-/// detail::span_seg_mask, restated here to keep this a leaf of the
-/// engine headers).
-std::uint32_t seg_mask_of(std::uint32_t mask, int seg, int width) {
-  if (width >= 32) return mask;
-  return (mask >> (seg * width)) & ((1u << width) - 1u);
-}
-
 }  // namespace
-
-bool SmSanitizer::on_smem_load_span(int warp, const std::uint32_t* seg_off,
-                                    int segs, int width, std::uint32_t stride,
-                                    std::uint32_t mask, std::uint32_t len) {
-  return admit_span(warp, seg_off, segs, width, stride, mask, len,
-                    /*write=*/false);
-}
-
-bool SmSanitizer::on_smem_store_span(int warp, const std::uint32_t* seg_off,
-                                     int segs, int width, std::uint32_t stride,
-                                     std::uint32_t mask, std::uint32_t len) {
-  return admit_span(warp, seg_off, segs, width, stride, mask, len,
-                    /*write=*/true);
-}
-
-bool SmSanitizer::admit_span(int warp, const std::uint32_t* seg_off, int segs,
-                             int width, std::uint32_t stride,
-                             std::uint32_t mask, std::uint32_t len,
-                             bool write) {
-  if (!opts_.span_fastpath || opts_.init) return false;
-  // The per-lane op returns before its hook on an empty mask, so a
-  // handled empty span must not consume an op-stream slot either.
-  if (mask == 0) return true;
-  // Bounds: any out-of-bounds lane falls back so the per-lane path
-  // reports the exact offending offset (and throws identically).
-  for (int seg = 0; seg < segs; ++seg) {
-    const std::uint32_t sm = seg_mask_of(mask, seg, width);
-    if (sm == 0) continue;
-    const int hi = 31 - std::countl_zero(sm);
-    if (static_cast<std::uint64_t>(seg_off[seg]) +
-            static_cast<std::uint64_t>(hi) * stride + len >
-        smem_bytes_) {
-      return false;
-    }
-  }
-  const std::uint32_t epoch =
-      static_cast<std::size_t>(warp) < arrivals_.size()
-          ? arrivals_[static_cast<std::size_t>(warp)]
-          : 0;
-  SpanRecord rec;
-  rec.seg_off.reserve(static_cast<std::size_t>(segs));
-  for (int seg = 0; seg < segs; ++seg) rec.seg_off.push_back(seg_off[seg]);
-  rec.width = width;
-  rec.stride = stride;
-  rec.access = len;
-  rec.mask = mask;
-  rec.epoch = epoch;
-  rec.warp = static_cast<std::int16_t>(warp);
-  rec.write = write;
-  if (opts_.race) {
-    const verify::SpanRef mine = rec.ref();
-    for (const SpanRecord& e : span_log_) {
-      if (e.warp == warp || e.epoch != epoch) continue;
-      if (!e.write && !write) continue;
-      if (verify::spans_overlap(mine, e.ref())) return false;
-    }
-  }
-  rec.site = ++cta_op_;
-  span_log_.push_back(std::move(rec));
-  ++span_fastpath_ops_;
-  return true;
-}
-
-void SmSanitizer::materialize() {
-  // Every per-byte shadow access comes through here first, so the
-  // shadow is allocated on this SM's first shared-memory op: an SM whose
-  // CTAs never touch shared memory never pays for it.
-  if (shadow_.empty()) shadow_.resize(smem_bytes_);
-  for (; materialized_ < span_log_.size(); ++materialized_) {
-    const SpanRecord& e = span_log_[materialized_];
-    if (e.hull) continue;
-    const int segs = static_cast<int>(e.seg_off.size());
-    for (int seg = 0; seg < segs; ++seg) {
-      const std::uint32_t sm = seg_mask_of(e.mask, seg, e.width);
-      for (std::uint32_t m = sm; m != 0; m &= m - 1) {
-        const std::uint64_t o =
-            e.seg_off[static_cast<std::size_t>(seg)] +
-            static_cast<std::uint64_t>(std::countr_zero(m)) * e.stride;
-        for (std::uint64_t b = o; b < o + e.access; ++b) {
-          ByteShadow& sh = fresh(static_cast<std::uint32_t>(b));
-          if (e.write) {
-            sh.w_warp = e.warp;
-            sh.w_epoch = e.epoch;
-            sh.w_site = e.site;
-            sh.w_op = Op::kSts;
-          } else {
-            sh.r_warp = e.warp;
-            sh.r_epoch = e.epoch;
-            sh.r_site = e.site;
-            sh.r_op = Op::kLds;
-          }
-        }
-      }
-    }
-  }
-}
-
-void SmSanitizer::log_hull(int warp, bool write, std::uint32_t epoch,
-                           std::uint64_t site, std::uint64_t lo,
-                           std::uint64_t hi_end) {
-  if (!opts_.span_fastpath || opts_.init || !opts_.race) return;
-  if (hi_end <= lo) return;  // no in-bounds byte touched
-  SpanRecord rec;
-  rec.seg_off.push_back(lo);
-  rec.width = 1;
-  rec.stride = 0;
-  rec.access = static_cast<std::uint32_t>(hi_end - lo);
-  rec.mask = 1;
-  rec.epoch = epoch;
-  rec.site = site;
-  rec.warp = static_cast<std::int16_t>(warp);
-  rec.write = write;
-  rec.hull = true;
-  span_log_.push_back(std::move(rec));
-  // Its bytes are already in the shadow; never replay the hull.
-  if (materialized_ == span_log_.size() - 1) ++materialized_;
-}
 
 void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
                                std::uint32_t mask, std::uint32_t len) {
-  materialize();
+  // The shadow is allocated on this SM's first shared-memory op: an SM
+  // whose CTAs never touch shared memory never pays for it.
+  if (shadow_.empty()) shadow_.resize(smem_bytes_);
   const std::uint64_t site = ++cta_op_;
   const std::uint32_t epoch =
       static_cast<std::size_t>(warp) < arrivals_.size()
           ? arrivals_[static_cast<std::size_t>(warp)]
           : 0;
   Agg oob, uninit, raw;
-  std::uint64_t hull_lo = smem_bytes_, hull_end = 0;
   for (int lane = 0; lane < 32; ++lane) {
     if (!(mask & (1u << lane))) continue;
     const std::uint64_t o = off[static_cast<std::size_t>(lane)];
@@ -237,8 +110,6 @@ void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
       oob.note(o, HazardSite{});
       continue;
     }
-    hull_lo = std::min(hull_lo, o);
-    hull_end = std::max(hull_end, o + len);
     for (std::uint64_t b = o; b < o + len; ++b) {
       ByteShadow& sh = shadow_[b];
       const bool this_cta = sh.gen == gen_;
@@ -257,7 +128,6 @@ void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
       sh.r_op = Op::kLds;
     }
   }
-  log_hull(warp, /*write=*/false, epoch, site, hull_lo, hull_end);
   const HazardSite reader{warp, Op::kLds, site};
   if (oob.hit && opts_.bounds) {
     SanitizerReport r;
@@ -302,14 +172,13 @@ void SmSanitizer::on_smem_load(int warp, const Lanes<std::uint32_t>& off,
 
 void SmSanitizer::on_smem_store(int warp, const Lanes<std::uint32_t>& off,
                                 std::uint32_t mask, std::uint32_t len) {
-  materialize();
+  if (shadow_.empty()) shadow_.resize(smem_bytes_);
   const std::uint64_t site = ++cta_op_;
   const std::uint32_t epoch =
       static_cast<std::size_t>(warp) < arrivals_.size()
           ? arrivals_[static_cast<std::size_t>(warp)]
           : 0;
   Agg oob, waw, war;
-  std::uint64_t hull_lo = smem_bytes_, hull_end = 0;
   for (int lane = 0; lane < 32; ++lane) {
     if (!(mask & (1u << lane))) continue;
     const std::uint64_t o = off[static_cast<std::size_t>(lane)];
@@ -317,8 +186,6 @@ void SmSanitizer::on_smem_store(int warp, const Lanes<std::uint32_t>& off,
       oob.note(o, HazardSite{});
       continue;
     }
-    hull_lo = std::min(hull_lo, o);
-    hull_end = std::max(hull_end, o + len);
     for (std::uint64_t b = o; b < o + len; ++b) {
       ByteShadow& sh = shadow_[b];
       const bool this_cta = sh.gen == gen_;
@@ -340,7 +207,6 @@ void SmSanitizer::on_smem_store(int warp, const Lanes<std::uint32_t>& off,
       sh.w_op = Op::kSts;
     }
   }
-  log_hull(warp, /*write=*/true, epoch, site, hull_lo, hull_end);
   const HazardSite writer{warp, Op::kSts, site};
   if (oob.hit && opts_.bounds) {
     SanitizerReport r;

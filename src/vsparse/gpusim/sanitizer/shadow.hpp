@@ -36,7 +36,6 @@
 #include "vsparse/gpusim/sanitizer/options.hpp"
 #include "vsparse/gpusim/sanitizer/report.hpp"
 #include "vsparse/gpusim/stats.hpp"
-#include "vsparse/gpusim/verify/span_set.hpp"
 
 namespace vsparse::gpusim {
 
@@ -74,25 +73,6 @@ class alignas(kHostCacheLineBytes) SmSanitizer {
   void on_smem_store(int warp, const Lanes<std::uint32_t>& off,
                      std::uint32_t mask, std::uint32_t len);
 
-  // -- span fast path (racecheck x exact span overlap) ------------------
-  /// Admit one smem span op without expanding it: true means the op was
-  /// fully handled here (footprint logged, one op-stream slot consumed)
-  /// and the caller may run the span memory path; false means the
-  /// caller must expand and run the per-lane op, whose hook above then
-  /// does the exact per-byte reporting.  Admission requires
-  /// opts_.span_fastpath, initcheck off, every active lane in bounds,
-  /// and — when racecheck is armed — provable disjointness (via
-  /// verify::spans_overlap) from every cross-warp same-epoch access
-  /// logged this CTA.
-  bool on_smem_load_span(int warp, const std::uint32_t* seg_off, int segs,
-                         int width, std::uint32_t stride, std::uint32_t mask,
-                         std::uint32_t len);
-  bool on_smem_store_span(int warp, const std::uint32_t* seg_off, int segs,
-                          int width, std::uint32_t stride, std::uint32_t mask,
-                          std::uint32_t len);
-
-  /// Smem span ops admitted on the fast path (no per-byte shadow walk).
-  std::uint64_t span_fastpath_ops() const { return span_fastpath_ops_; }
   void on_global_load(int warp, const AddrLanes& addr, std::uint32_t mask,
                       std::uint32_t len);
   void on_global_store(int warp, const AddrLanes& addr, std::uint32_t mask,
@@ -134,53 +114,6 @@ class alignas(kHostCacheLineBytes) SmSanitizer {
     Op r_op = Op::kMisc;
   };
 
-  /// Stamp `sh` as belonging to the current CTA, clearing it first if
-  /// it still carries a previous CTA's state.
-  ByteShadow& fresh(std::uint32_t o) {
-    ByteShadow& sh = shadow_[o];
-    if (sh.gen != gen_) {
-      sh = ByteShadow{};
-      sh.gen = gen_;
-    }
-    return sh;
-  }
-
-  /// One logged smem access this CTA: a fast-pathed span descriptor
-  /// (exact footprint, lazily replayable into the shadow) or the
-  /// conservative byte-range hull of a per-lane op (overlap-check only
-  /// — its bytes are already in the shadow, so materialize skips it).
-  struct SpanRecord {
-    std::vector<std::uint64_t> seg_off;
-    int width = 0;
-    std::uint32_t stride = 0;
-    std::uint32_t access = 0;
-    std::uint32_t mask = 0;
-    std::uint32_t epoch = 0;
-    std::uint64_t site = 0;
-    std::int16_t warp = -1;
-    bool write = false;
-    bool hull = false;
-
-    verify::SpanRef ref() const {
-      return verify::SpanRef{seg_off.data(), static_cast<int>(seg_off.size()),
-                             width, stride, access, mask};
-    }
-  };
-
-  /// Shared body of the two span hooks.
-  bool admit_span(int warp, const std::uint32_t* seg_off, int segs, int width,
-                  std::uint32_t stride, std::uint32_t mask, std::uint32_t len,
-                  bool write);
-  /// Replay every logged-but-unmaterialized span into the byte shadow
-  /// (silent: admitted spans are provably hazard-free against all
-  /// earlier accesses of this CTA), so a per-lane check that follows
-  /// sees exactly the state an all-per-lane execution would have left.
-  void materialize();
-  /// Log the byte-range hull of a per-lane op so later span admissions
-  /// see it (the bytes themselves went straight into the shadow).
-  void log_hull(int warp, bool write, std::uint32_t epoch, std::uint64_t site,
-                std::uint64_t lo, std::uint64_t hi_end);
-
   /// Record (dedup'd, capped) and optionally trace-mirror a report.
   void deliver(SanitizerReport&& r);
 
@@ -200,10 +133,6 @@ class alignas(kHostCacheLineBytes) SmSanitizer {
   int cta_id_ = -1;
   std::vector<std::uint32_t> arrivals_;  ///< per-warp barrier arrival count
   std::uint64_t cta_op_ = 0;  ///< index into the CTA's sanitized op stream
-
-  std::vector<SpanRecord> span_log_;  ///< this CTA's smem access log
-  std::size_t materialized_ = 0;      ///< span_log_ replay cursor
-  std::uint64_t span_fastpath_ops_ = 0;
 
   std::set<Key> seen_;
   std::vector<SanitizerReport> reports_;

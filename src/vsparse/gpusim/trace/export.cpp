@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "vsparse/common/json.hpp"
 #include "vsparse/gpusim/sanitizer/report.hpp"
 #include "vsparse/gpusim/stats.hpp"
 #include "vsparse/gpusim/trace/counters.hpp"
@@ -12,34 +13,6 @@
 namespace vsparse::gpusim {
 
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
 
 /// One chrome-trace event line.  `first` tracks the comma placement.
 class EventWriter {
@@ -116,7 +89,7 @@ std::string perfetto_json(const Trace& trace) {
     w.begin() << "{\"ph\":\"M\",\"pid\":" << pid
               << ",\"name\":\"process_name\",\"args\":{\"name\":\"launch "
               << pid << ": ";
-    json_escape(os, launch.kernel);
+    os << json_escape(launch.kernel);
     os << "\"}}";
     w.begin() << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << launch_tid
               << ",\"name\":\"thread_name\",\"args\":{\"name\":\"launch\"}}";
@@ -129,7 +102,7 @@ std::string perfetto_json(const Trace& trace) {
     // The kernel itself: one complete span on the launch track.
     w.begin() << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << launch_tid
               << ",\"ts\":0,\"dur\":" << launch.duration << ",\"name\":\"";
-    json_escape(os, launch.kernel);
+    os << json_escape(launch.kernel);
     os << "\",\"args\":{\"grid\":" << launch.grid
        << ",\"cta_threads\":" << launch.cta_threads
        << ",\"smem_bytes\":" << launch.smem_bytes
@@ -176,7 +149,7 @@ std::string metrics_json(const Trace& trace) {
     os << (first_launch ? "\n" : ",\n");
     first_launch = false;
     os << "    {\n      \"index\": " << index++ << ",\n      \"kernel\": \"";
-    json_escape(os, launch.kernel);
+    os << json_escape(launch.kernel);
     os << "\",\n      \"grid\": " << launch.grid
        << ",\n      \"cta_threads\": " << launch.cta_threads
        << ",\n      \"smem_bytes\": " << launch.smem_bytes

@@ -2,13 +2,14 @@
 // request: every rung tried, every retry, every backoff, and the
 // final outcome, all classified by the error taxonomy.
 //
-// Determinism contract: to_json() contains only thread-invariant
-// fields — rung names, attempt ordinals, simulated backoff cycles,
-// taxonomy codes and stable site strings.  No wall-clock time, no
-// free-text messages (a watchdog message embeds a per-SM progress dump
-// that legitimately varies with host scheduling), no L2/DRAM-split
-// counters.  Same seed + policy => byte-identical JSON at any
-// --threads=N.
+// Determinism contract: to_json() contains only what classifies an
+// attempt — rung names, attempt ordinals, simulated backoff cycles,
+// taxonomy codes and stable site strings.  No wall-clock time and no
+// counters.  No free-text messages either: a message's wording is not
+// part of the error taxonomy (a watchdog message, for one, embeds a
+// per-SM progress dump of engine internals), so a report that carried
+// it would change whenever a diagnostic's wording did.  Same seed +
+// policy => byte-identical JSON at any --threads=N.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +61,9 @@ struct ServeReport {
   ErrorCode final_code = ErrorCode::kInternal;
   std::string final_site;
 
-  /// The successful run (counters + launch shape).  In-memory only —
-  /// deliberately not serialized (L2/DRAM counter splits are only
-  /// bit-exact at threads=1).
+  /// The successful run (counters + launch shape).  In-memory only:
+  /// the report records what the supervisor did, not what the kernel
+  /// counted.
   kernels::KernelRun run;
 
   /// Deterministic single-line JSON (see header comment).

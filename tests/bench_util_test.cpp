@@ -1,13 +1,26 @@
 // Tests for the benchmark-support library: summaries, suite
-// determinism, and the dense-baseline cache.
+// determinism, the dense-baseline cache, and the JSON string escaper
+// its case-error lines share with the trace and sanitizer exports.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "vsparse/bench/runner.hpp"
 #include "vsparse/bench/suite.hpp"
 #include "vsparse/bench/summary.hpp"
+#include "vsparse/common/json.hpp"
 
 namespace vsparse::bench {
 namespace {
+
+TEST(JsonEscape, QuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain \xc3\xa9"), "plain \xc3\xa9");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("line\nnext\ttab"), "line\\nnext\\ttab");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f\r\0", 4)),
+            "\\u0001\\u001f\\u000d\\u0000");
+  EXPECT_EQ(json_escape("\x7f"), "\x7f");
+}
 
 TEST(Summary, GeomeanAndQuartiles) {
   BoxStats s = summarize({1.0, 2.0, 4.0, 8.0});

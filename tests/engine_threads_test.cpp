@@ -5,16 +5,19 @@
 // identical CostModel cycles (the determinism contract of
 // engine/launch.hpp: SMs log their L2 accesses and the launch replays
 // them in CTA order).  Also covers launches spanning several replay
-// epochs, the L2 an aborted launch leaves behind, the Scheduler's
-// round-robin assignment, SimOptions inheritance from the device, and
-// exception propagation out of worker threads (the lowest throwing
-// CTA's error, at any thread count).
+// epochs, what an aborted launch leaves behind (its L2, error, trace
+// and fault tallies), the Scheduler's round-robin assignment,
+// SimOptions inheritance from the device, and exception propagation
+// out of worker threads (the lowest throwing CTA's error, at any
+// thread count).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,8 @@
 #include "vsparse/gpusim/engine/sim_options.hpp"
 #include "vsparse/gpusim/faults.hpp"
 #include "vsparse/gpusim/trace/counters.hpp"
+#include "vsparse/gpusim/trace/export.hpp"
+#include "vsparse/gpusim/trace/trace.hpp"
 #include "vsparse/kernels/sddmm/sddmm_octet.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
 
@@ -230,7 +235,7 @@ TEST(EngineThreadSweep, WorkerExceptionsPropagate) {
 TEST(EngineThreadSweep, LowestThrowingCtaErrorWinsAtEveryThreadCount) {
   // CTAs 5 and 14 live on SMs 5 and 6.  CTA 5 stalls before throwing,
   // so at threads > 1 CTA 14's error usually reaches the engine first;
-  // the launch must still raise CTA 5's, as the serial path does.
+  // the launch must still raise CTA 5's, the lowest throwing CTA's.
   gpusim::Device dev(test_config());
   gpusim::LaunchConfig cfg;
   cfg.grid = 16;
@@ -370,7 +375,7 @@ TEST(EngineThreadSweep, L2SeesEveryAccessInGlobalCtaOrder) {
   // CTA c loads table lines c..c+7, so no SM loads a line twice (its
   // CTAs are 8 apart) and every load misses the L1 and reaches the L2.
   // A reference cache of the L2's geometry, fed those lines in global
-  // CTA order — the order the serial engine probed its L2 in — must
+  // CTA order — the order the launch replays the SMs' logs in — must
   // reproduce each SM's L2 hits, misses and DRAM bytes at every thread
   // count, over three replay epochs.
   constexpr int kGrid = 600;
@@ -420,10 +425,11 @@ TEST(EngineThreadSweep, L2SeesEveryAccessInGlobalCtaOrder) {
 }
 
 TEST(EngineThreadSweep, AbortedLaunchLeavesTheSerialL2AtEveryThreadCount) {
-  // CTA 300 (second epoch, SM 4) throws halfway through its loads.  At
-  // threads > 1 the other SMs run past it to the end of the epoch, but
-  // the launch replays only CTAs 0..300 (300's partial log included),
-  // so a probe launch afterwards finds the L2 the serial path leaves.
+  // CTA 300 (second epoch, SM 4) throws halfway through its loads.  The
+  // other SMs run past it to the end of the epoch, but the launch
+  // replays only CTAs 0..300 (300's partial log included), so a probe
+  // launch afterwards finds the L2 those CTAs leave in global order, at
+  // every thread count.
   constexpr int kGrid = 600;
   constexpr int kThrowAt = 300;
   std::vector<SweepRun> probes;
@@ -445,19 +451,108 @@ TEST(EngineThreadSweep, AbortedLaunchLeavesTheSerialL2AtEveryThreadCount) {
   }
 }
 
+TEST(EngineThreadSweep, AbortedLaunchIsThreadInvariant) {
+  // A throw ends only its own SM's CTA list; every other SM still runs
+  // its CTAs of the epoch, at one thread too.  So the error, the trace
+  // and the fault plan's tallies an aborted launch leaves are the same
+  // at every thread count.
+  //
+  // A runaway launch: every CTA spins on __syncthreads() until the
+  // watchdog trips it, so each SM's first CTA times out.
+  gpusim::LaunchConfig runaway;
+  runaway.grid = 16;
+  runaway.cta_threads = 64;
+  std::vector<std::string> whats;
+  std::vector<std::string> perfetto;
+  std::vector<std::string> metrics;
+  for (int threads : {1, 2, 8}) {
+    gpusim::Device dev(test_config());
+    gpusim::Trace trace;
+    gpusim::SimOptions sim{.threads = threads, .watchdog_cta_ops = 1000};
+    sim.trace.sink = &trace;
+    try {
+      gpusim::launch(
+          dev, runaway,
+          [](gpusim::Cta& cta) {
+            for (;;) cta.sync();
+          },
+          sim);
+      FAIL() << "runaway launch did not time out at threads=" << threads;
+    } catch (const gpusim::LaunchTimeoutError& e) {
+      whats.emplace_back(e.what());
+    }
+    perfetto.push_back(gpusim::perfetto_json(trace));
+    metrics.push_back(gpusim::metrics_json(trace));
+  }
+  // Every SM's progress dump shows its CTA stopped by the watchdog.
+  EXPECT_EQ(whats[0].find("ops_in_cta=0"), std::string::npos) << whats[0];
+  for (std::size_t i = 1; i < whats.size(); ++i) {
+    const int threads = i == 1 ? 2 : 8;
+    EXPECT_EQ(whats[0], whats[i]) << "threads=" << threads;
+    // Compared as booleans: a mismatch would print megabytes of JSON.
+    EXPECT_TRUE(perfetto[0] == perfetto[i])
+        << "perfetto export differs at threads=" << threads << " ("
+        << perfetto[0].size() << " vs " << perfetto[i].size() << " bytes)";
+    EXPECT_TRUE(metrics[0] == metrics[i])
+        << "metrics export differs at threads=" << threads << " ("
+        << metrics[0].size() << " vs " << metrics[i].size() << " bytes)";
+  }
+
+  // An ECC plan: a sticky double-bit upset in CTA 2's data (detected,
+  // so the launch throws EccError) and a transient single-bit upset in
+  // CTA 7's (corrected).  CTA 7 runs on SM 7 although CTA 2 throws.
+  std::vector<std::string> ecc_whats;
+  std::vector<std::array<std::uint64_t, 3>> tallies;
+  for (int threads : {1, 2, 8}) {
+    gpusim::FaultPlan plan(/*seed=*/1, /*ecc_enabled=*/true);
+    gpusim::Device dev(test_config());
+    auto data = dev.alloc<std::uint32_t>(16 * 32, "data");
+    plan.add_target({gpusim::FaultSite::kDramRead, data.addr(2 * 32),
+                     /*bit=*/0, /*n_bits=*/2, /*sticky=*/true});
+    plan.add_target({gpusim::FaultSite::kDramRead, data.addr(7 * 32),
+                     /*bit=*/0, /*n_bits=*/1, /*sticky=*/false});
+    dev.set_fault_plan(&plan);
+    try {
+      gpusim::launch(
+          dev, one_warp_launch(16),
+          [&](gpusim::Cta& cta) {
+            gpusim::Lanes<std::uint32_t> v{};
+            cta.warp(0).ldg_span(
+                data.addr(static_cast<std::size_t>(cta.cta_id()) * 32), 4, v);
+          },
+          gpusim::SimOptions{.threads = threads});
+      FAIL() << "double-bit upset not detected at threads=" << threads;
+    } catch (const gpusim::EccError& e) {
+      ecc_whats.emplace_back(e.what());
+    }
+    tallies.push_back({plan.injected(), plan.masked(), plan.detected()});
+  }
+  EXPECT_EQ(tallies[0], (std::array<std::uint64_t, 3>{2, 1, 1}));
+  for (std::size_t i = 1; i < tallies.size(); ++i) {
+    const int threads = i == 1 ? 2 : 8;
+    EXPECT_EQ(ecc_whats[0], ecc_whats[i]) << "threads=" << threads;
+    EXPECT_EQ(tallies[0], tallies[i]) << "threads=" << threads;
+  }
+}
+
 TEST(Scheduler, RoundRobinMatchesHistoricalAssignment) {
   gpusim::Scheduler sched(/*grid=*/19, /*num_sms=*/8);
   EXPECT_EQ(sched.num_active_sms(), 8);
-  for (int cta = 0; cta < 19; ++cta) EXPECT_EQ(sched.sm_of(cta), cta % 8);
-  // Walking one SM's list visits exactly the CTAs whose home it is,
-  // in increasing order.
+  // Walking the SMs' lists visits every CTA exactly once, CTA c on SM
+  // (c % 8), each list in increasing order.
+  std::vector<int> home(19, -1);
   for (int sm = 0; sm < 8; ++sm) {
     int prev = -1;
     for (int cta = sched.first_cta(sm); cta < 19; cta += sched.cta_stride()) {
-      EXPECT_EQ(sched.sm_of(cta), sm);
+      EXPECT_EQ(home[static_cast<std::size_t>(cta)], -1)
+          << "cta " << cta << " listed twice";
+      home[static_cast<std::size_t>(cta)] = sm;
       EXPECT_GT(cta, prev);
       prev = cta;
     }
+  }
+  for (int cta = 0; cta < 19; ++cta) {
+    EXPECT_EQ(home[static_cast<std::size_t>(cta)], cta % 8) << "cta " << cta;
   }
 }
 
@@ -480,9 +575,10 @@ TEST(Scheduler, SmallGridActivatesOnlyGridSms) {
 // ---------------------------------------------------------------------
 // Span-vs-per-lane equivalence corpus (DESIGN.md §2h): the descriptor
 // forms must be bit- and counter-identical to the hand-expanded
-// per-lane forms for uniform, affine, and segmented patterns — on the
-// serial engine, across thread counts, and under fault injection
-// (where spans self-divert onto the per-lane path).
+// per-lane forms for uniform, affine, and segmented patterns — at one
+// thread, across thread counts, and under fault injection (where
+// ldg_span self-diverts onto the per-lane path and the smem spans keep
+// their span path).
 
 void expect_corpus_equal(const gpusim::SpanCorpusRun& span,
                          const gpusim::SpanCorpusRun& lane,
@@ -528,10 +624,11 @@ TEST(SpanCorpus, ThreadInvariantAndEqualToPerLaneAtEveryThreadCount) {
 }
 
 TEST(SpanCorpus, EquivalentUnderFaultInjection) {
-  // A sticky DRAM-read upset inside the affine pattern's footprint
-  // forces every span op to divert onto the per-lane path; results and
-  // counters must still match the hand-expanded run under the same
-  // plan.
+  // A fault plan makes ldg_span divert onto the per-lane path, where a
+  // sticky DRAM-read upset inside the affine pattern's footprint
+  // strikes; the smem spans keep their span path (no site strikes
+  // shared memory).  Results and counters must still match the
+  // hand-expanded run under the same plan.
   const auto run_faulted = [&](bool use_span, int threads) {
     gpusim::Device dev(test_config());
     gpusim::FaultPlan plan(7);

@@ -575,49 +575,54 @@ TEST(SanitizerSweep, ShippedSddmmCleanOnSuiteShapes) {
 }
 
 // ---------------------------------------------------------------------
-// Span ops under the sanitizer (DESIGN.md §2h): with any tool armed a
-// span op self-diverts onto the per-lane path, so the sanitizer sees
-// the exact per-lane access sequence.  A clean span corpus must report
-// nothing, and the diversion must not perturb results or counters —
-// neither against the unsanitized span run nor against a sanitized
-// hand-expanded per-lane run.
+// Span ops under the sanitizer (DESIGN.md §2h): with a sanitizer
+// attached every span op self-diverts onto the per-lane path, so the
+// sanitizer sees the exact per-lane access sequence.  A clean span
+// corpus must report nothing, and the diversion must not perturb
+// results or counters — neither against the unsanitized span run nor
+// against a sanitized hand-expanded per-lane run.
 
 TEST(SanitizerSpan, CorpusCleanAndUnperturbedUnderAllTools) {
-  const auto run_once = [&](bool use_span, Sanitizer* sink) {
-    Device dev(test_config(4));
-    SimOptions sim;
-    sim.threads = 1;
-    if (sink != nullptr) {
-      sim.sanitize = all_tools();
-      sim.sanitize.sink = sink;
-    }
-    return run_span_corpus(dev, use_span, sim);
-  };
+  // All four tools, then race, sync and bounds without init.
+  for (const SanitizerOptions& tools :
+       {all_tools(), only(true, true, false, true)}) {
+    SCOPED_TRACE(tools.init ? "all tools" : "race,sync,bounds");
+    const auto run_once = [&](bool use_span, Sanitizer* sink) {
+      Device dev(test_config(4));
+      SimOptions sim;
+      sim.threads = 1;
+      if (sink != nullptr) {
+        sim.sanitize = tools;
+        sim.sanitize.sink = sink;
+      }
+      return run_span_corpus(dev, use_span, sim);
+    };
 
-  Sanitizer span_sink;
-  Sanitizer lane_sink;
-  const auto span_off = run_once(true, nullptr);
-  const auto span_on = run_once(true, &span_sink);
-  const auto lane_on = run_once(false, &lane_sink);
+    Sanitizer span_sink;
+    Sanitizer lane_sink;
+    const auto span_off = run_once(true, nullptr);
+    const auto span_on = run_once(true, &span_sink);
+    const auto lane_on = run_once(false, &lane_sink);
 
-  // Zero reports on every tool for the span run.
-  ASSERT_EQ(span_sink.launches().size(), 1u);
-  EXPECT_EQ(span_sink.launches()[0].kernel, "span_corpus");
-  EXPECT_EQ(span_sink.num_reports(), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kRace), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kSync), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kInit), 0u);
-  EXPECT_EQ(span_sink.num_reports(SanitizerTool::kBounds), 0u);
-  EXPECT_EQ(lane_sink.num_reports(), 0u);
+    // Zero reports on every tool for the span run.
+    ASSERT_EQ(span_sink.launches().size(), 1u);
+    EXPECT_EQ(span_sink.launches()[0].kernel, "span_corpus");
+    EXPECT_EQ(span_sink.num_reports(), 0u);
+    EXPECT_EQ(span_sink.num_reports(SanitizerTool::kRace), 0u);
+    EXPECT_EQ(span_sink.num_reports(SanitizerTool::kSync), 0u);
+    EXPECT_EQ(span_sink.num_reports(SanitizerTool::kInit), 0u);
+    EXPECT_EQ(span_sink.num_reports(SanitizerTool::kBounds), 0u);
+    EXPECT_EQ(lane_sink.num_reports(), 0u);
 
-  // The divert is invisible: sanitized span == unsanitized span ==
-  // sanitized per-lane, in bits and counters.
-  EXPECT_EQ(span_off.dst_bits, span_on.dst_bits);
-  EXPECT_TRUE(counters_equal(span_off.total, span_on.total))
-      << "sanitized span run perturbed counters";
-  EXPECT_EQ(span_on.dst_bits, lane_on.dst_bits);
-  EXPECT_TRUE(counters_equal(span_on.total, lane_on.total))
-      << "span and per-lane differ under the sanitizer";
+    // The divert is invisible: sanitized span == unsanitized span ==
+    // sanitized per-lane, in bits and counters.
+    EXPECT_EQ(span_off.dst_bits, span_on.dst_bits);
+    EXPECT_TRUE(counters_equal(span_off.total, span_on.total))
+        << "sanitized span run perturbed counters";
+    EXPECT_EQ(span_on.dst_bits, lane_on.dst_bits);
+    EXPECT_TRUE(counters_equal(span_on.total, lane_on.total))
+        << "span and per-lane differ under the sanitizer";
+  }
 }
 
 TEST(SanitizerSpan, RacecheckSeesThroughSpanStores) {

@@ -1,9 +1,9 @@
-// Shape-class verifier tests: the exact span overlap primitive, shape
-// class corner enumeration, the corner operands, the whole certified
-// set proved over small classes on every architecture preset by
-// running the real kernels at the class corners, eligible() agreeing
-// with the kernels' own preconditions, and seeded-broken launch bodies
-// refuted with an in-class counterexample.
+// Shape-class verifier tests: shape class corner enumeration, the
+// corner operands, the whole certified set proved over small classes
+// on every architecture preset by running the real kernels at the
+// class corners, eligible() agreeing with the kernels' own
+// preconditions, and seeded-broken launch bodies refuted with an
+// in-class counterexample.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "vsparse/gpusim/engine/lanes.hpp"
 #include "vsparse/gpusim/engine/launch.hpp"
 #include "vsparse/gpusim/engine/launch_config.hpp"
-#include "vsparse/gpusim/verify/span_set.hpp"
 #include "vsparse/gpusim/verify/verifier.hpp"
 #include "vsparse/kernels/registry.hpp"
 
@@ -25,41 +24,8 @@ namespace {
 
 using verify::ShapeClass;
 using verify::ShapeCorner;
-using verify::SpanRef;
 using verify::Verdict;
 using verify::VerdictKind;
-
-// ---- exact span overlap ----------------------------------------------
-
-TEST(SpanOverlap, InterleavedStridesDoNotCollide) {
-  // Two warps writing alternating 2-byte elements: bases 0 and 2,
-  // stride 4.  A hull test would report a collision; the exact test
-  // must not.
-  const std::uint64_t base_a[] = {0};
-  const std::uint64_t base_b[] = {2};
-  const SpanRef a{base_a, 1, 32, 4, 2, 0xFFFFFFFFu};
-  const SpanRef b{base_b, 1, 32, 4, 2, 0xFFFFFFFFu};
-  EXPECT_FALSE(verify::spans_overlap(a, b));
-
-  // Widen the access to 3 bytes and lanes of `a` now reach into `b`.
-  const SpanRef a3{base_a, 1, 32, 4, 3, 0xFFFFFFFFu};
-  EXPECT_TRUE(verify::spans_overlap(a3, b));
-}
-
-TEST(SpanOverlap, MaskAndSegmentsRespected) {
-  const std::uint64_t base_a[] = {0, 64};
-  const std::uint64_t base_b[] = {64};
-  // 2 segments of 16 lanes x 4 bytes; only segment 0 of `a` active.
-  const SpanRef a_seg0{base_a, 2, 16, 4, 4, 0x0000FFFFu};
-  const SpanRef b{base_b, 1, 16, 4, 4, 0x0000FFFFu};
-  EXPECT_FALSE(verify::spans_overlap(a_seg0, b));
-  // Activate segment 1 (lanes 16..31) and it lands on b's bytes.
-  const SpanRef a_both{base_a, 2, 16, 4, 4, 0xFFFFFFFFu};
-  EXPECT_TRUE(verify::spans_overlap(a_both, b));
-  // Empty mask never overlaps anything.
-  const SpanRef empty{base_a, 2, 16, 4, 4, 0};
-  EXPECT_FALSE(verify::spans_overlap(empty, b));
-}
 
 // ---- shape classes ----------------------------------------------------
 

@@ -83,10 +83,6 @@ def check_launch(launch, i):
            f"{where}: aborted is not a bool")
     expect(is_uint(launch.get("suppressed")),
            f"{where}: bad suppressed {launch.get('suppressed')!r}")
-    if "span_fastpath_ops" in launch:
-        expect(is_uint(launch.get("span_fastpath_ops")),
-               f"{where}: bad span_fastpath_ops "
-               f"{launch.get('span_fastpath_ops')!r}")
     reports = launch.get("reports")
     tools = []
     if expect(isinstance(reports, list), f"{where}: reports is not a list"):
