@@ -74,7 +74,7 @@ void BM_MmaM8n8k4(benchmark::State& state) {
   for (auto _ : state) {
     gpusim::launch(dev, lcfg, [&](gpusim::Cta& cta) {
       gpusim::Warp w = cta.warp(0);
-      for (int i = 0; i < 64; ++i) gpusim::mma_m8n8k4(w, a, b, c);
+      for (int i = 0; i < 64; ++i) w.mma_m8n8k4(a, b, c);
     });
     benchmark::DoNotOptimize(c);
   }

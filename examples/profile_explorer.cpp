@@ -4,27 +4,37 @@
 // (Tables 1-2) on your own configurations.
 //
 // Usage: profile_explorer [kernel] [M] [K] [N] [V] [sparsity]
-//   kernel in {octet, wmma, fpu, blocked-ell, dense}
+//   kernel in {octet, fpu, blocked-ell, dense}; M, K, N positive;
+//   V in {1, 2, 4, 8}; sparsity in [0, 1).  A shape the chosen kernel
+//   cannot run (octet at V = 1, say) is reported on stderr with exit
+//   status 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
+#include "args.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/kernels/dense/gemm.hpp"
 #include "vsparse/kernels/spmm/spmm_blocked_ell.hpp"
 #include "vsparse/kernels/spmm/spmm_fpu.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
-#include "vsparse/kernels/spmm/spmm_wmma.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int explore(int argc, char** argv) {
   using namespace vsparse;
-  const char* kernel = argc > 1 ? argv[1] : "octet";
-  const int m = argc > 2 ? std::atoi(argv[2]) : 2048;
-  const int k = argc > 3 ? std::atoi(argv[3]) : 1024;
-  const int n = argc > 4 ? std::atoi(argv[4]) : 256;
-  const int v = argc > 5 ? std::atoi(argv[5]) : 4;
-  const double sparsity = argc > 6 ? std::atof(argv[6]) : 0.9;
+  const std::string kernel = argc > 1 ? argv[1] : "octet";
+  if (kernel != "octet" && kernel != "fpu" && kernel != "blocked-ell" &&
+      kernel != "dense") {
+    throw std::invalid_argument("unknown kernel '" + kernel +
+                                "' (octet|fpu|blocked-ell|dense)");
+  }
+  const int m = examples::positive_arg(argc, argv, 2, "M", 2048);
+  const int k = examples::positive_arg(argc, argv, 3, "K", 1024);
+  const int n = examples::positive_arg(argc, argv, 4, "N", 256);
+  const int v = examples::v_arg(argc, argv, 5, 4);
+  const double sparsity = examples::sparsity_arg(argc, argv, 6, 0.9);
 
   gpusim::DeviceConfig hw;
   gpusim::DeviceConfig cfg = hw;
@@ -38,29 +48,19 @@ int main(int argc, char** argv) {
   DenseDevice<half_t> dc{c, m, n, n, Layout::kRowMajor};
 
   kernels::KernelRun run;
-  if (std::strcmp(kernel, "dense") == 0) {
+  if (kernel == "dense") {
     auto a = dev.alloc<half_t>(static_cast<std::size_t>(m) * k);
     DenseDevice<half_t> da{a, m, k, k, Layout::kRowMajor};
     run = kernels::hgemm_tcu(dev, da, db, dc);
-  } else if (std::strcmp(kernel, "blocked-ell") == 0) {
+  } else if (kernel == "blocked-ell") {
     BlockedEll ell = make_blocked_ell(m, k, v, sparsity, rng);
     auto dell = to_device(dev, ell);
     run = kernels::spmm_blocked_ell(dev, dell, db, dc);
   } else {
     Cvs a_host = make_cvs(m, k, v, sparsity, rng, 0.25);
     auto a = to_device(dev, a_host);
-    if (std::strcmp(kernel, "octet") == 0) {
-      run = kernels::spmm_octet(dev, a, db, dc);
-    } else if (std::strcmp(kernel, "wmma") == 0) {
-      run = kernels::spmm_wmma_warp(dev, a, db, dc);
-    } else if (std::strcmp(kernel, "fpu") == 0) {
-      run = kernels::spmm_fpu_subwarp(dev, a, db, dc);
-    } else {
-      std::fprintf(stderr,
-                   "unknown kernel '%s' (octet|wmma|fpu|blocked-ell|dense)\n",
-                   kernel);
-      return 1;
-    }
+    run = kernel == "octet" ? kernels::spmm_octet(dev, a, db, dc)
+                            : kernels::spmm_fpu_subwarp(dev, a, db, dc);
   }
 
   std::printf("kernel %s on %dx%dx%d, V=%d, %.0f%% sparse\n",
@@ -87,4 +87,11 @@ int main(int argc, char** argv) {
   std::printf("  occupancy: %d CTAs/SM, %d warps/SM, %.2f waves\n",
               est.ctas_per_sm, est.active_warps_per_sm, est.waves);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return examples::run_example("profile_explorer",
+                               [&] { return explore(argc, argv); });
 }

@@ -3,20 +3,23 @@
 // the paper's encoding enables), encode to CVS, and compare every SpMM
 // kernel the library ships on the resulting matrix.
 //
-// Usage: prune_and_deploy [sparsity] [V]
+// Usage: prune_and_deploy [sparsity in [0, 1)] [V in {1, 2, 4, 8}]
+// The tensor-core kernels need V >= 2; at V = 1 only the FPU kernel
+// runs.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "args.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/reference.hpp"
 #include "vsparse/kernels/dense/gemm.hpp"
+#include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/kernels/spmm/spmm_blocked_ell.hpp"
 #include "vsparse/kernels/spmm/spmm_fpu.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
-#include "vsparse/kernels/spmm/spmm_wmma.hpp"
 
 namespace {
 
@@ -57,12 +60,10 @@ vsparse::Cvs magnitude_prune(const vsparse::DenseMatrix<vsparse::half_t>& w,
   return Cvs::from_dense(pruned, v);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace vsparse;
-  const double sparsity = argc > 1 ? std::atof(argv[1]) : 0.9;
-  const int v = argc > 2 ? std::atoi(argv[2]) : 4;
+  const double sparsity = examples::sparsity_arg(argc, argv, 1, 0.9);
+  const int v = examples::v_arg(argc, argv, 2, 4);
   const int m = 1024, k = 512, n = 256;
 
   Rng rng(11);
@@ -95,18 +96,19 @@ int main(int argc, char** argv) {
     std::printf("%-22s %12.0f %9.2fx\n", name, r.cycles(hw),
                 dense / r.cycles(hw));
   };
-  row("spmm_octet (paper)", kernels::spmm_octet(dev, da, db, dc));
-  row("spmm_wmma (classic)", kernels::spmm_wmma_warp(dev, da, db, dc));
+  if (v >= 2) row("spmm_octet (paper)", kernels::spmm_octet(dev, da, db, dc));
   row("spmm_fpu (sputnik)", kernels::spmm_fpu_subwarp(dev, da, db, dc));
-  BlockedEll ell = make_blocked_ell(m, k, v, sparsity, rng);
-  auto dell = to_device(dev, ell);
-  row("blocked-ELL (cusparse)", kernels::spmm_blocked_ell(dev, dell, db, dc));
+  if (v >= 2) {
+    BlockedEll ell = make_blocked_ell(m, k, v, sparsity, rng);
+    auto dell = to_device(dev, ell);
+    row("blocked-ELL (cusparse)",
+        kernels::spmm_blocked_ell(dev, dell, db, dc));
+  }
 
-  // Deployment-quality check: kernel output equals the reference SpMM.
-  DenseMatrix<half_t> got = from_device(dc);
-  // (dc holds the blocked-ELL result now; rerun octet for the check.)
-  kernels::spmm_octet(dev, da, db, dc);
-  got = from_device(dc);
+  // Deployment-quality check: the kernel the dispatch layer picks for
+  // this V (octet for V >= 2, FPU for V = 1) equals the reference SpMM.
+  const kernels::KernelRun check = kernels::spmm(dev, da, db, dc);
+  const DenseMatrix<half_t> got = from_device(dc);
   DenseMatrix<half_t> ref = spmm_reference(pruned, b);
   double max_err = 0;
   for (int i = 0; i < m; ++i) {
@@ -116,6 +118,14 @@ int main(int argc, char** argv) {
                                   static_cast<float>(ref.at(i, j))));
     }
   }
-  std::printf("\noctet kernel vs reference: max abs err %g\n", max_err);
+  std::printf("\n%s vs reference: max abs err %g\n",
+              check.config.profile.name.c_str(), max_err);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return examples::run_example("prune_and_deploy",
+                               [&] { return run(argc, argv); });
 }

@@ -10,13 +10,16 @@
 // Build: cmake --build build --target quickstart && ./build/examples/quickstart
 #include <cstdio>
 
+#include "args.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/reference.hpp"
 #include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace vsparse;
 
   // ---- 1. a 256x128 matrix, 90% sparse at 4x1 vector grain -----------
@@ -70,3 +73,7 @@ int main() {
 
   return max_err < 1.0 ? 0 : 1;
 }
+
+}  // namespace
+
+int main() { return examples::run_example("quickstart", run); }

@@ -1,25 +1,29 @@
 // Run the library on a real DLMC matrix: load an .smtx pattern file
 // (the format the Deep Learning Matrix Collection distributes), attach
-// random values per §7.1.1, and race every SpMM implementation on it.
+// random values per §7.1.1, and race the octet and FPU SpMM kernels on
+// it (only FPU at V = 1).
 //
-// Usage: run_smtx [file.smtx] [V] [N]
-// Without a file, writes and uses a small demonstration pattern.
+// Usage: run_smtx [file.smtx] [V in {1, 2, 4, 8}] [N]
+// Without a file, writes a small demonstration pattern to demo.smtx in
+// the working directory and uses it.
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
+#include "args.hpp"
 #include "vsparse/bench/runner.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/formats/smtx_io.hpp"
 #include "vsparse/gpusim/trace/counters.hpp"
 #include "vsparse/kernels/dispatch.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace vsparse;
   const char* path = argc > 1 ? argv[1] : nullptr;
-  const int v = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int n = argc > 3 ? std::atoi(argv[3]) : 256;
+  const int v = examples::v_arg(argc, argv, 2, 4);
+  const int n = examples::positive_arg(argc, argv, 3, "N", 256);
 
   SmtxPattern pattern;
   if (path != nullptr) {
@@ -30,9 +34,9 @@ int main(int argc, char** argv) {
     Rng rng(42);
     Cvs demo = make_cvs(512, 512, 1, 0.9, rng, 0.25);
     pattern = cvs_to_smtx(demo);
-    write_smtx_file("/tmp/demo.smtx", pattern);
+    write_smtx_file("demo.smtx", pattern);
     std::printf("no file given; wrote a 512x512 90%%-sparse demo to "
-                "/tmp/demo.smtx\n");
+                "demo.smtx\n");
   }
 
   Rng rng(7);
@@ -58,10 +62,8 @@ int main(int argc, char** argv) {
 
   using kernels::SpmmAlgorithm;
   std::vector<kernels::KernelRun> runs;
-  const SpmmAlgorithm algos[] = {SpmmAlgorithm::kOctet,
-                                 SpmmAlgorithm::kWmmaWarp,
-                                 SpmmAlgorithm::kFpuSubwarp};
-  for (SpmmAlgorithm algo : algos) {
+  for (SpmmAlgorithm algo :
+       {SpmmAlgorithm::kOctet, SpmmAlgorithm::kFpuSubwarp}) {
     if (v == 1 && algo != SpmmAlgorithm::kFpuSubwarp) continue;
     auto run = kernels::spmm(dev, da, db, dcv, {.algorithm = algo});
     std::printf("%-14s %12.0f %9.2fx\n", run.config.profile.name.c_str(),
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
   std::printf("\nJSON records (pipe to a file for tooling):\n%s",
               os.str().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return examples::run_example("run_smtx", [&] { return run(argc, argv); });
 }

@@ -4,19 +4,25 @@
 // head, and prints the latency breakdown Fig. 20 reports.
 //
 // Usage: sparse_attention [seq] [head_dim] [sparsity]
+//   seq and head_dim positive multiples of 64; sparsity in [0, 1).
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "args.hpp"
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/generate.hpp"
 #include "vsparse/transformer/attention.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace vsparse;
-  const int seq = argc > 1 ? std::atoi(argv[1]) : 1024;
-  const int d = argc > 2 ? std::atoi(argv[2]) : 64;
-  const double sparsity = argc > 3 ? std::atof(argv[3]) : 0.9;
-  VSPARSE_CHECK(seq % 64 == 0 && d % 64 == 0);
+  const int seq = examples::positive_arg(argc, argv, 1, "seq", 1024);
+  const int d = examples::positive_arg(argc, argv, 2, "head_dim", 64);
+  const double sparsity = examples::sparsity_arg(argc, argv, 3, 0.9);
+  if (seq % 64 != 0 || d % 64 != 0) {
+    throw std::invalid_argument("seq and head_dim must be multiples of 64");
+  }
 
   Rng rng(7);
   DenseMatrix<half_t> q(seq, d), k(seq, d), v(seq, d);
@@ -79,4 +85,11 @@ int main(int argc, char** argv) {
               "the mask prunes attention, by design)\n",
               band_norm > 0 ? band_dot / band_norm : 0.0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return examples::run_example("sparse_attention",
+                               [&] { return run(argc, argv); });
 }

@@ -18,21 +18,8 @@
 
 namespace vsparse::bench {
 
-gpusim::Device fresh_device(std::size_t dram_bytes) {
-  gpusim::DeviceConfig cfg = gpusim::DeviceConfig::volta_v100();
-  cfg.dram_capacity = dram_bytes;
-  return gpusim::Device(cfg);
-}
-
-gpusim::Device fresh_device(const gpusim::SimOptions& sim,
-                            std::size_t dram_bytes) {
-  gpusim::Device dev = fresh_device(dram_bytes);
-  dev.set_sim_options(sim);
-  return dev;
-}
-
-gpusim::Device fresh_device(const gpusim::SimOptions& sim,
-                            const gpusim::DeviceConfig& hw,
+gpusim::Device fresh_device(const gpusim::DeviceConfig& hw,
+                            const gpusim::SimOptions& sim,
                             std::size_t dram_bytes) {
   gpusim::DeviceConfig cfg = hw;
   cfg.dram_capacity = dram_bytes;
@@ -302,7 +289,7 @@ void SimThroughput::print_summary() const {
 double DenseBaseline::hgemm_cycles(int m, int k, int n) {
   const auto key = std::make_tuple(m, k, n);
   if (auto it = half_.find(key); it != half_.end()) return it->second;
-  gpusim::Device dev = fresh_device(sim_);
+  gpusim::Device dev = fresh_device(hw_, sim_);
   auto a = dev.alloc<half_t>(static_cast<std::size_t>(m) * k);
   auto b = dev.alloc<half_t>(static_cast<std::size_t>(k) * n);
   auto c = dev.alloc<half_t>(static_cast<std::size_t>(m) * n);
@@ -318,7 +305,7 @@ double DenseBaseline::hgemm_cycles(int m, int k, int n) {
 double DenseBaseline::sgemm_cycles(int m, int k, int n) {
   const auto key = std::make_tuple(m, k, n);
   if (auto it = single_.find(key); it != single_.end()) return it->second;
-  gpusim::Device dev = fresh_device(sim_);
+  gpusim::Device dev = fresh_device(hw_, sim_);
   auto a = dev.alloc<float>(static_cast<std::size_t>(m) * k);
   auto b = dev.alloc<float>(static_cast<std::size_t>(k) * n);
   auto c = dev.alloc<float>(static_cast<std::size_t>(m) * n);

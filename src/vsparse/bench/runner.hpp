@@ -21,18 +21,12 @@
 
 namespace vsparse::bench {
 
-/// A device sized for bench problems.
-gpusim::Device fresh_device(std::size_t dram_bytes = std::size_t{1} << 30);
-
-/// A bench device with a host execution policy baked in: every launch
-/// on the returned device defaults to `sim.threads` workers.
-gpusim::Device fresh_device(const gpusim::SimOptions& sim,
-                            std::size_t dram_bytes = std::size_t{1} << 30);
-
-/// A bench device on an explicit architecture (gpusim/arch.hpp preset
-/// or hand-modified config) with the execution policy baked in.
-gpusim::Device fresh_device(const gpusim::SimOptions& sim,
-                            const gpusim::DeviceConfig& hw,
+/// A device sized for bench problems on architecture `hw` (a
+/// gpusim/arch.hpp preset or a hand-modified config), with the host
+/// execution policy `sim` baked in: every launch on it inherits
+/// `sim`'s threads, tracing and sanitizing.
+gpusim::Device fresh_device(const gpusim::DeviceConfig& hw,
+                            const gpusim::SimOptions& sim,
                             std::size_t dram_bytes = std::size_t{1} << 30);
 
 /// The simulated architecture for a bench driver: `--arch=NAME` looks
@@ -245,7 +239,7 @@ class DriverSession {
   /// A fresh device on this session's architecture with its SimOptions
   /// installed — what most figure drivers should build per case.
   gpusim::Device device(std::size_t dram_bytes = std::size_t{1} << 30) const {
-    return fresh_device(sim_, hw_, dram_bytes);
+    return fresh_device(hw_, sim_, dram_bytes);
   }
 
   /// Standard driver epilogue; returns the process exit code.
@@ -266,7 +260,9 @@ class DriverSession {
   gpusim::DeviceConfig hw_;
 };
 
-/// Memoized dense baselines evaluated under one hardware model.
+/// Memoized dense baselines under one hardware model: each GEMM runs on
+/// a fresh device built from `hw` and is priced at `hw`, so an `--arch`
+/// run's baseline sees that architecture's SM count and L2 too.
 class DenseBaseline {
  public:
   explicit DenseBaseline(

@@ -34,11 +34,4 @@ constexpr T round_down(T a, T b) {
 /// True iff `x` is a power of two (0 is not).
 constexpr bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
-/// floor(log2(x)) for x > 0.
-constexpr int ilog2(std::uint64_t x) {
-  int r = 0;
-  while (x >>= 1) ++r;
-  return r;
-}
-
 }  // namespace vsparse

@@ -78,15 +78,14 @@ DenseMatrix<half_t> Cvs::to_dense() const {
   return m;
 }
 
-// The device arrays declare the vector-load tail slack of cvs.hpp, so
-// the widest loads a kernel issues from a row's last element do not
-// trip the boundscheck's red-zone guard.
+// The column indices declare the vector-load tail slack of cvs.hpp, so
+// the paired index loads a kernel issues from a row's last element do
+// not trip the boundscheck's red-zone guard.
 CvsDevice to_device(gpusim::Device& dev, const Cvs& m) {
   return CvsDevice{dev.alloc_copy<std::int32_t>(m.row_ptr, "cvs.row_ptr"),
                    dev.alloc_copy<std::int32_t>(m.col_idx, "cvs.col_idx",
                                                 kCvsColIdxTailSlack),
-                   dev.alloc_copy<half_t>(m.values, "cvs.values",
-                                          kCvsValuesTailSlack),
+                   dev.alloc_copy<half_t>(m.values, "cvs.values"),
                    m.rows,
                    m.cols,
                    m.v};
@@ -102,8 +101,7 @@ CvsDeviceT<float> to_device_f32(gpusim::Device& dev, const Cvs& m) {
                            dev.alloc_copy<std::int32_t>(m.col_idx,
                                                         "cvs.col_idx",
                                                         kCvsColIdxTailSlack),
-                           dev.alloc_copy<float>(widened, "cvs.values",
-                                                 kCvsValuesTailSlack),
+                           dev.alloc_copy<float>(widened, "cvs.values"),
                            m.rows,
                            m.cols,
                            m.v};

@@ -72,14 +72,12 @@ struct CvsDeviceT {
 
 using CvsDevice = CvsDeviceT<half_t>;
 
-/// Vector-load tail slack, in elements, the device CVS arrays declare
-/// (Device::alloc).  Sputnik requires its inputs padded the same way:
-/// kernels that fetch indices in pairs (LDG.64) can issue the last pair
-/// of an odd-length row chunk, and kernels that stream values in
-/// 16 B-aligned LDG.128s (spmm_wmma) can issue the final fragment load —
-/// up to 7 halves past the last value.
+/// Vector-load tail slack, in elements, the device CVS `col_idx` array
+/// declares (Device::alloc).  Sputnik requires its inputs padded the
+/// same way: kernels that fetch indices in pairs (LDG.64) can issue the
+/// last pair of an odd-length row chunk.  No kernel reads past the last
+/// value, so `values` declares none.
 inline constexpr std::size_t kCvsColIdxTailSlack = 1;
-inline constexpr std::size_t kCvsValuesTailSlack = 7;
 
 CvsDevice to_device(gpusim::Device& dev, const Cvs& m);
 

@@ -15,7 +15,6 @@
 
 #include "vsparse/common/rng.hpp"
 #include "vsparse/formats/blocked_ell.hpp"
-#include "vsparse/formats/csr.hpp"
 #include "vsparse/formats/cvs.hpp"
 
 namespace vsparse {
@@ -53,19 +52,6 @@ Cvs make_corner_cvs(int rows, int cols, int v, int vec_row, int count);
 /// the matching CVS benchmark.
 BlockedEll make_blocked_ell(int m, int k, int block, double sparsity,
                             Rng& rng);
-
-/// Fine-grained random CSR (the Fig. 4 baseline inputs).
-template <class T>
-Csr<T> make_csr(int m, int k, double sparsity, Rng& rng,
-                double row_jitter = 0.25) {
-  Csr<T> out;
-  out.rows = m;
-  out.cols = k;
-  random_pattern(m, k, sparsity, row_jitter, rng, out.row_ptr, out.col_idx);
-  out.values.resize(out.col_idx.size());
-  for (T& v : out.values) v = T(rng.uniform_float(0.5f, 1.5f));
-  return out;
-}
 
 /// §7.4 fixed attention mask: seq x seq, a dense band of width `band`
 /// along the diagonal plus uniform random off-diagonal vectors, at

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "vsparse/serve/error.hpp"
-
 namespace vsparse::gpusim {
 
 namespace {
@@ -75,16 +73,6 @@ std::string arch_preset_names() {
     out += preset.name;
   }
   return out;
-}
-
-DeviceConfig DeviceConfig::preset(std::string_view name) {
-  const ArchPreset* preset = find_arch_preset(name);
-  VSPARSE_CHECK_RAISE(preset != nullptr, ErrorCode::kBadDispatch,
-                      "gpusim.arch",
-                      "unknown architecture preset \""
-                          << std::string(name) << "\" (known: "
-                          << arch_preset_names() << ")");
-  return preset->make();
 }
 
 }  // namespace vsparse::gpusim

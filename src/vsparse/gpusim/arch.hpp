@@ -1,4 +1,4 @@
-// Named architecture presets — the table behind DeviceConfig::preset().
+// Named architecture presets — the table behind every `--arch=NAME`.
 //
 // The paper evaluates one platform (Volta V100, HMMA.884); "which
 // tensor-core kernel wins" is a function of the MMA shape and the

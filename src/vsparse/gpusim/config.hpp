@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace vsparse::gpusim {
 
@@ -123,12 +122,6 @@ struct DeviceConfig {
     cfg.l2_bytes_per_cycle_total = 3200.0;
     return cfg;
   }
-
-  /// Look up a named preset from the architecture table (gpusim/
-  /// arch.hpp): "volta-v100" | "turing-t4" | "ampere-a100" |
-  /// "volta-hmma-switch".  Raises kBadDispatch for unknown names;
-  /// `arch_presets()` enumerates the table for CLIs and tests.
-  static DeviceConfig preset(std::string_view name);
 };
 
 }  // namespace vsparse::gpusim

@@ -8,18 +8,6 @@
 
 namespace vsparse::gpusim {
 
-const char* device_fault_name(DeviceFault fault) {
-  switch (fault) {
-    case DeviceFault::kNone:
-      return "none";
-    case DeviceFault::kWedged:
-      return "wedged";
-    case DeviceFault::kDead:
-      return "dead";
-  }
-  return "none";
-}
-
 Device::Device(DeviceConfig cfg)
     : cfg_(cfg),
       l2_(cfg.l2_bytes, cfg.line_bytes, cfg.sector_bytes, cfg.l2_ways) {

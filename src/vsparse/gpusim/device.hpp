@@ -46,8 +46,6 @@ class FaultPlan;
 /// branch and the bit/counter-identity contract is untouched.
 enum class DeviceFault : std::uint8_t { kNone = 0, kWedged, kDead };
 
-const char* device_fault_name(DeviceFault fault);
-
 /// One allocation as seen by diagnostics: the sanitizer's boundscheck
 /// snapshots the allocation table at launch start (sorted by address)
 /// and `Device::translate` names the nearest allocation in its OOB
@@ -188,14 +186,9 @@ class Device {
   std::size_t live_bytes() const {
     return live_.load(std::memory_order_relaxed);
   }
-  /// High-water mark of live bytes since construction / reset_peak().
+  /// High-water mark of live bytes since construction / reset().
   std::size_t peak_bytes() const {
     return peak_.load(std::memory_order_relaxed);
-  }
-  void reset_peak() {
-    std::lock_guard<std::mutex> lock(alloc_mutex_);
-    peak_.store(live_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
   }
 
   /// Total arena size and bump-pointer position — what a serving-layer

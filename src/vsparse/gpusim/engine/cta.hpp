@@ -158,17 +158,13 @@ class Warp {
                   MmaFlags flags = {});
 
   /// Warp-level WMMA (8x16)·(16x32) with fp32 accumulation, used by the
-  /// classic-mapping baseline kernels (§5.2, §6.2).  Consumes assembled
-  /// logical tiles and charges the 16 HMMA.884 steps the hardware
-  /// instruction decomposes into.
-  void wmma_m8n32k16(const half_t (&a)[8][16], const half_t (&b)[16][32],
-                     float (&c)[8][32]);
-
-  /// Strided in-place WMMA form: accumulates row i of the product into
+  /// Blocked-ELL and dense GEMM baselines.  Consumes assembled logical
+  /// tiles and charges the 16 HMMA.884 steps the hardware instruction
+  /// decomposes into.  Accumulates row i of the product into
   /// c_rows[i][0..32) for i < rows, where each row pointer may alias a
   /// larger accumulator tile.  Rows past `rows` are skipped entirely —
-  /// bit-identical to running the [8][32] form on zero-padded A rows
-  /// and discarding the padded output rows, without the staging copies.
+  /// bit-identical to multiplying zero-padded A rows and discarding
+  /// the padded output rows, without the staging copies.
   /// `k_extent` (1..16) is how many k-rows carry data: A columns and B
   /// rows past it must be +0, and the host neither widens nor
   /// multiplies them (bit-identical, see tensorcore.cpp).  The call

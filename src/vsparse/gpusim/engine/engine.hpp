@@ -1,7 +1,7 @@
 // Launch-boundary engine pieces: the process-wide CTA counter and the
 // engine_detail helpers (L2 log replay, trace/sanitizer merge, error
-// augmentation) that the devirtualized `run_launch_direct<Body>`
-// template in launch.hpp calls.  The hot per-CTA loop lives in that
+// augmentation) that the devirtualized `launch<Body>` template in
+// launch.hpp calls.  The hot per-CTA loop lives in that
 // template so each kernel body is a direct, inlinable call; only the
 // cold epoch- and launch-boundary work is compiled once here.
 #pragma once
@@ -32,7 +32,7 @@ std::uint64_t total_simulated_ctas();
 
 namespace engine_detail {
 
-// Out-of-line helpers shared by every run_launch_direct instantiation —
+// Out-of-line helpers shared by every launch<Body> instantiation —
 // the epoch- and launch-boundary work (L2 log replay, merging
 // trace/sanitizer collectors, error augmentation, the global CTA
 // counter) compiles once here while the per-CTA loop specializes per

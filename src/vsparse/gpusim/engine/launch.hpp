@@ -7,7 +7,7 @@
 //     Lanes<std::uint64_t> addr; Lanes<half4> frag;
 //     ...compute per-lane addresses like the CUDA kernel would...
 //     cta.warp(0).ldg(addr, frag);          // coalescing is *measured*
-//     mma_m8n8k4(cta.warp(0), a, b, acc);   // octet-level tensor core
+//     cta.warp(0).mma_m8n8k4(a, b, acc);    // octet-level tensor core
 //   });
 //
 // CTAs are round-robin assigned to model SMs and each SM's CTA list
@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "vsparse/gpusim/engine/engine.hpp"
@@ -82,17 +81,17 @@ void run_cta_direct(SmContext& sm, const LaunchConfig& cfg, int cta_id,
 
 }  // namespace engine_detail
 
-/// The devirtualized launch engine: the full scheduling/threading body,
-/// specialized per kernel `Body` so the per-CTA call is direct (and
-/// inlinable) instead of a std::function dispatch.  Epoch- and
-/// launch-boundary work (L2 replay, trace/sanitizer merge, error
-/// augmentation, the global CTA counter) stays out-of-line in
-/// engine.cpp behind engine_detail.  The registry launch thunks
-/// (kernels/registry.hpp) reach this through `launch()`, making each of
-/// them a concrete, monomorphic entry point for its kernel.
+/// The launch engine: the full scheduling/threading body, specialized
+/// per kernel `Body` so the per-CTA call is direct (and inlinable)
+/// instead of a std::function dispatch.  Epoch- and launch-boundary
+/// work (L2 replay, trace/sanitizer merge, error augmentation, the
+/// global CTA counter) stays out-of-line in engine.cpp behind
+/// engine_detail.  Each registry launch thunk (kernels/registry.hpp)
+/// reaches its own instantiation, so every kernel has a concrete,
+/// monomorphic entry point.
 template <class Body>
-KernelStats run_launch_direct(Device& dev, const LaunchConfig& cfg,
-                              Body&& body_in, const SimOptions& opts = {}) {
+KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body_in,
+                   const SimOptions& opts = {}) {
   auto& body = body_in;  // run to completion before return; by-ref is safe
   engine_detail::check_device_serviceable(dev);
   VSPARSE_CHECK(cfg.grid >= 1);
@@ -232,12 +231,6 @@ KernelStats run_launch_direct(Device& dev, const LaunchConfig& cfg,
     }
   }
   return total;
-}
-
-template <class Body>
-KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body,
-                   const SimOptions& opts = {}) {
-  return run_launch_direct(dev, cfg, std::forward<Body>(body), opts);
 }
 
 }  // namespace vsparse::gpusim

@@ -88,13 +88,6 @@ void FaultPlan::prepare(int num_sms) {
   fired_.assign(targets_.size() * static_cast<std::size_t>(num_sms_), 0);
 }
 
-void FaultPlan::rearm() {
-  std::fill(fired_.begin(), fired_.end(), 0);
-  injected_.store(0, std::memory_order_relaxed);
-  masked_.store(0, std::memory_order_relaxed);
-  detected_.store(0, std::memory_order_relaxed);
-}
-
 namespace {
 
 // Shared post-flip ECC bookkeeping.  Returns true when the flip was

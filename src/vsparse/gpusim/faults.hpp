@@ -138,9 +138,6 @@ class FaultPlan {
   /// Device::set_fault_plan; idempotent for the same SM count.
   void prepare(int num_sms);
 
-  /// Re-arm every fired target and zero the totals (fresh campaign).
-  void rearm();
-
   // -- process-lifetime totals (survive an EccError unwind) ------------
   std::uint64_t injected() const { return injected_.load(std::memory_order_relaxed); }
   std::uint64_t masked() const { return masked_.load(std::memory_order_relaxed); }

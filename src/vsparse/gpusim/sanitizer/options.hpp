@@ -39,7 +39,6 @@ struct SanitizerOptions {
   std::uint32_t max_reports = 256;
 
   bool enabled() const { return sink != nullptr; }
-  bool any_tool() const { return race || sync || init || bounds; }
 };
 
 }  // namespace vsparse::gpusim

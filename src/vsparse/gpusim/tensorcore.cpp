@@ -100,13 +100,6 @@ void Warp::mma_m8n8k4(const MmaFragAB& a, const MmaFragAB& b, MmaFragC& c,
 }
 
 void Warp::wmma_m8n32k16(const half_t (&a)[8][16],
-                         const half_t (&b)[16][32], float (&c)[8][32]) {
-  float* rows[8];
-  for (int i = 0; i < 8; ++i) rows[i] = c[i];
-  wmma_m8n32k16(a, b, rows, 8, 16);
-}
-
-void Warp::wmma_m8n32k16(const half_t (&a)[8][16],
                          const half_t (&b)[16][32],
                          float* const (&c_rows)[8], int rows, int k_extent) {
   VSPARSE_DCHECK(rows >= 0 && rows <= 8 && k_extent >= 1 && k_extent <= 16);

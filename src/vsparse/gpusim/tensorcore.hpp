@@ -39,27 +39,10 @@
 #include "vsparse/fp16/vec.hpp"
 #include "vsparse/gpusim/engine/cta.hpp"
 
-namespace vsparse::gpusim {
-
 // The MMA ops are Warp methods (`Warp::mma_m8n8k4`,
 // `Warp::wmma_m8n32k16` in engine/cta.hpp) so that `Warp` is the single
 // entry point for every warp-level operation.  The fragment types
-// (MmaFragAB, MmaFragC, MmaFlags) live beside them.  The free-function
-// forms below forward to the methods for source compatibility.
-
-/// Compatibility forwarder; prefer `w.mma_m8n8k4(a, b, c, flags)`.
-inline void mma_m8n8k4(Warp& w, const MmaFragAB& a, const MmaFragAB& b,
-                       MmaFragC& c, MmaFlags flags = {}) {
-  w.mma_m8n8k4(a, b, c, flags);
-}
-
-/// Compatibility forwarder; prefer `w.wmma_m8n32k16(a, b, c)`.
-/// The per-thread fragment layouts of Figs. 10/13 live in the
-/// *kernels'* load code (that is where they constrain memory
-/// coalescing); the op consumes the assembled logical tiles.
-inline void wmma_m8n32k16(Warp& w, const half_t (&a)[8][16],
-                          const half_t (&b)[16][32], float (&c)[8][32]) {
-  w.wmma_m8n32k16(a, b, c);
-}
-
-}  // namespace vsparse::gpusim
+// (MmaFragAB, MmaFragC, MmaFlags) live beside them.  The per-thread
+// fragment layouts of Figs. 10/13 live in the *kernels'* load code
+// (that is where they constrain memory coalescing); the WMMA op
+// consumes the assembled logical tiles.

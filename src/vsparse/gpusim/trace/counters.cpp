@@ -162,13 +162,6 @@ const std::array<CounterDef, kNumCounters>& counter_registry() {
   return kRegistry;
 }
 
-const CounterDef* find_counter(std::string_view name) {
-  for (const CounterDef& def : kRegistry) {
-    if (def.name == name) return &def;
-  }
-  return nullptr;
-}
-
 std::uint64_t counter_value(const KernelStats& s, const CounterDef& def) {
   return def.op >= 0 ? s.ops[def.op] : s.*(def.member);
 }
@@ -200,16 +193,6 @@ bool counters_sm_local_equal(const KernelStats& a, const KernelStats& b) {
     if (counter_value(a, def) != counter_value(b, def)) return false;
   }
   return true;
-}
-
-KernelStats counters_diff(const KernelStats& after,
-                          const KernelStats& before) {
-  KernelStats out;
-  for (const CounterDef& def : kRegistry) {
-    counter_ref(out, def) = counter_value(after, def) -
-                            counter_value(before, def);
-  }
-  return out;
 }
 
 void counters_print(std::ostream& os, const KernelStats& s) {

@@ -2,7 +2,7 @@
 // counter.  Each entry carries the stable export key, a description,
 // the unit, determinism class, and enough pretty-print metadata to
 // reproduce KernelStats' historical text dump byte for byte — so
-// merge, diff, equality, JSON export, and pretty-print are all
+// merge, equality, JSON export, and pretty-print are all
 // *derived* from this table and a counter added here can never
 // silently miss an exporter.
 //
@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <string_view>
 
 #include "vsparse/gpusim/stats.hpp"
 
@@ -69,9 +68,6 @@ static_assert(sizeof(KernelStats) ==
 /// The registry, in KernelStats declaration order.
 const std::array<CounterDef, kNumCounters>& counter_registry();
 
-/// Lookup by export key; nullptr if unknown.
-const CounterDef* find_counter(std::string_view name);
-
 std::uint64_t counter_value(const KernelStats& s, const CounterDef& def);
 std::uint64_t& counter_ref(KernelStats& s, const CounterDef& def);
 
@@ -99,10 +95,6 @@ void counters_accumulate(KernelStats& dst, const KernelStats& src);
 /// Equality over all counters / over the sm_local subset only.
 bool counters_equal(const KernelStats& a, const KernelStats& b);
 bool counters_sm_local_equal(const KernelStats& a, const KernelStats& b);
-
-/// after[c] - before[c] per counter (counters are monotonic within a
-/// launch, so this is the standard begin/end profiling delta).
-KernelStats counters_diff(const KernelStats& after, const KernelStats& before);
 
 /// The historical KernelStats text dump, byte-identical to the
 /// hand-written formatter this registry replaced.

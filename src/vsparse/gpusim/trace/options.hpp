@@ -30,9 +30,6 @@ struct TraceOptions {
   /// while still showing the instruction mix over time.
   std::uint64_t sample_ops = 0;
 
-  /// Emit a barrier event at every __syncthreads() (kBarrier).
-  bool barriers = true;
-
   bool enabled() const { return sink != nullptr; }
 };
 

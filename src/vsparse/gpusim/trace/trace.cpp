@@ -68,9 +68,4 @@ std::size_t Trace::num_events() const {
   return n;
 }
 
-void Trace::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  launches_.clear();
-}
-
 }  // namespace vsparse::gpusim

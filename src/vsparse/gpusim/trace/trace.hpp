@@ -75,7 +75,6 @@ class alignas(kHostCacheLineBytes) SmTrace {
  public:
   SmTrace(int sm_id, const TraceOptions& opts)
       : sm_id_(static_cast<std::int16_t>(sm_id)),
-        barriers_(opts.barriers),
         stride_(opts.sample_ops),
         countdown_(opts.sample_ops) {}
 
@@ -103,13 +102,10 @@ class alignas(kHostCacheLineBytes) SmTrace {
   }
 
   /// __syncthreads(): advances the clock by the barrier's warp-level
-  /// issue slots and (optionally) records the wait.
+  /// issue slots and records the wait.
   void on_sync(int cta, int warps) {
     cycles_ += static_cast<std::uint64_t>(warps);
-    if (barriers_) {
-      emit(TraceEventKind::kBarrier, cta, -1,
-           static_cast<std::uint64_t>(warps));
-    }
+    emit(TraceEventKind::kBarrier, cta, -1, static_cast<std::uint64_t>(warps));
   }
 
   int sm_id() const { return sm_id_; }
@@ -118,7 +114,6 @@ class alignas(kHostCacheLineBytes) SmTrace {
 
  private:
   std::int16_t sm_id_;
-  bool barriers_;
   std::uint64_t stride_;
   std::uint64_t countdown_;
   std::uint64_t cycles_ = 0;
@@ -154,7 +149,6 @@ class Trace {
 
   const std::vector<LaunchTrace>& launches() const { return launches_; }
   std::size_t num_events() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

@@ -229,7 +229,7 @@ CvsDevice ProbeDevice::cvs(const Cvs& m) {
   out.row_ptr = upload<std::int32_t>(m.row_ptr, "cvs.row_ptr");
   out.col_idx =
       upload<std::int32_t>(m.col_idx, "cvs.col_idx", kCvsColIdxTailSlack);
-  out.values = upload<half_t>(m.values, "cvs.values", kCvsValuesTailSlack);
+  out.values = upload<half_t>(m.values, "cvs.values");
   out.rows = m.rows;
   out.cols = m.cols;
   out.v = m.v;

@@ -56,10 +56,6 @@ KernelRun sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
                 const DenseDevice<half_t>& b, const CvsDevice& mask,
                 gpusim::Buffer<half_t>& out_values,
                 const SddmmOptions& options) {
-  VSPARSE_CHECK_RAISE(!options.abft.has_value(), ErrorCode::kBadDispatch,
-                      "kernels.dispatch",
-                      "no SDDMM kernel has an ABFT variant yet; "
-                      "SddmmOptions::abft must stay unset");
   SddmmAlgorithm algo = options.algorithm;
   if (algo == SddmmAlgorithm::kAuto) {
     algo = resolve_auto_sddmm(sddmm_dispatch_shape(a, mask));
@@ -86,21 +82,6 @@ HostRun<DenseMatrix<half_t>> spmm_host(const Cvs& a,
   DenseDevice<half_t> dc = to_device(dev, c);
   KernelRun run = spmm(dev, da, db, dc, options);
   return {from_device(dc), std::move(run)};
-}
-
-HostRun<Cvs> sddmm_host(const DenseMatrix<half_t>& a,
-                        const DenseMatrix<half_t>& b, const Cvs& mask,
-                        const SddmmOptions& options) {
-  gpusim::Device dev;
-  DenseDevice<half_t> da = to_device(dev, a);
-  DenseDevice<half_t> db = to_device(dev, b);
-  CvsDevice dmask = to_device(dev, mask);
-  auto out = dev.alloc<half_t>(mask.values.size());
-  KernelRun run = sddmm(dev, da, db, dmask, out, options);
-  Cvs result = mask;
-  auto host = out.host();
-  std::copy(host.begin(), host.end(), result.values.begin());
-  return {std::move(result), std::move(run)};
 }
 
 }  // namespace vsparse::kernels

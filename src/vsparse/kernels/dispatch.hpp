@@ -25,8 +25,8 @@
 // every branch live in kernels/registry.hpp; this header stays the
 // stable entry-point surface.  All entry points return the KernelRun
 // (counters + launch shape) so callers keep full observability; the
-// host round trips return a HostRun carrying the downloaded result
-// *and* the KernelRun.
+// SpMM host round trip returns a HostRun carrying the downloaded
+// result *and* the KernelRun.
 #pragma once
 
 #include <optional>
@@ -53,12 +53,10 @@ struct SpmmOptions {
   gpusim::SimOptions sim;
 };
 
-/// Everything one sddmm() call can vary.  `abft` is reserved: no SDDMM
-/// kernel has an ABFT variant yet, so setting it raises a structured
-/// kBadDispatch error rather than silently running unprotected.
+/// Everything one sddmm() call can vary.  No SDDMM kernel has an ABFT
+/// variant, so there is no `abft` field.
 struct SddmmOptions {
   SddmmAlgorithm algorithm = SddmmAlgorithm::kAuto;
-  std::optional<AbftOptions> abft;
   gpusim::SimOptions sim;
 };
 
@@ -83,7 +81,7 @@ KernelRun sddmm(gpusim::Device& dev, const DenseDevice<half_t>& a,
                 gpusim::Buffer<half_t>& out_values,
                 const SddmmOptions& options = {});
 
-/// What a host-side round trip produced: the downloaded result plus
+/// What the host-side round trip produced: the downloaded result plus
 /// the full KernelRun (counters, launch shape, ABFT outcome) — so
 /// quickstart-style callers can report cost/speedup without dropping
 /// to the device API.
@@ -99,11 +97,5 @@ struct HostRun {
 HostRun<DenseMatrix<half_t>> spmm_host(const Cvs& a,
                                        const DenseMatrix<half_t>& b,
                                        const SpmmOptions& options = {});
-
-/// Host-side SDDMM round trip; `result` is the masked products as a
-/// Cvs sharing `mask`'s pattern.
-HostRun<Cvs> sddmm_host(const DenseMatrix<half_t>& a,
-                        const DenseMatrix<half_t>& b, const Cvs& mask,
-                        const SddmmOptions& options = {});
 
 }  // namespace vsparse::kernels

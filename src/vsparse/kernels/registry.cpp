@@ -13,7 +13,6 @@
 #include "vsparse/kernels/spmm/spmm_fpu.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
 #include "vsparse/kernels/spmm/spmm_octet_abft.hpp"
-#include "vsparse/kernels/spmm/spmm_wmma.hpp"
 #include "vsparse/serve/error.hpp"
 
 namespace vsparse::kernels {
@@ -59,10 +58,6 @@ KernelRun run_spmm_octet(const SpmmCall& c) {
 KernelRun run_spmm_octet_abft(const SpmmCall& c) {
   VSPARSE_CHECK(c.abft != nullptr);
   return spmm_octet_abft(c.dev, c.a, c.b, c.c, {}, *c.abft, c.sim);
-}
-
-KernelRun run_spmm_wmma(const SpmmCall& c) {
-  return spmm_wmma_warp(c.dev, c.a, c.b, c.c, c.sim);
 }
 
 KernelRun run_spmm_fpu(const SpmmCall& c) {
@@ -112,18 +107,14 @@ KernelRun run_sddmm_csr_fine(const SddmmCall& c) {
 const std::vector<KernelDesc>& kernel_registry() {
   // Ladder ranks mirror the pre-registry Supervisor: the octet desc's
   // rung runs *with* ABFT (plain octet re-runs are what retries already
-  // spent), WMMA is an entry point but never a fallback, and the two
-  // re-encode kernels exist only as rungs (kNoAlgorithm).
+  // spent), SDDMM octet is an entry point but never a fallback, and the
+  // two re-encode kernels exist only as rungs (kNoAlgorithm).
   static const std::vector<KernelDesc> kTable = {
       // ---- SpMM ------------------------------------------------------
       {"spmm_octet", KernelOp::kSpmm,
        static_cast<int>(SpmmAlgorithm::kOctet), OperandFormat::kCvs, kVTcu,
        /*has_abft=*/true, /*ladder_rank=*/0, &tcu_64col, &run_spmm_octet,
        &run_spmm_octet_abft, nullptr},
-      {"spmm_wmma_warp", KernelOp::kSpmm,
-       static_cast<int>(SpmmAlgorithm::kWmmaWarp), OperandFormat::kCvs,
-       kVTcu, false, kNotInLadder, &tcu_64col, &run_spmm_wmma, nullptr,
-       nullptr},
       {"spmm_fpu_subwarp", KernelOp::kSpmm,
        static_cast<int>(SpmmAlgorithm::kFpuSubwarp), OperandFormat::kCvs,
        kVAll, false, /*ladder_rank=*/3, &fpu_16col, &run_spmm_fpu, nullptr,

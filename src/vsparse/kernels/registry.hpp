@@ -34,7 +34,6 @@ namespace vsparse::kernels {
 enum class SpmmAlgorithm : std::uint8_t {
   kAuto,        ///< octet for V>=2, FPU subwarp for V=1
   kOctet,       ///< TCU-based 1-D Octet Tiling (§5.3)
-  kWmmaWarp,    ///< classic warp-level WMMA mapping (§5.2)
   kFpuSubwarp,  ///< Sputnik-extended FPU tiling (§5.1)
   kCsrFine,     ///< fine-grained row-per-warp (cuSPARSE-style, V=1)
   kNumSpmmAlgorithms

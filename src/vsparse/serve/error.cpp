@@ -45,15 +45,4 @@ bool error_code_fallback_eligible(ErrorCode code) {
   return row(code).fallback_eligible;
 }
 
-std::string Error::to_json() const {
-  std::string out = "{\"code\":\"";
-  out += error_code_name(code_);
-  out += "\",\"site\":\"";
-  out += site_;
-  out += "\",\"retryable\":";
-  out += retryable() ? "true" : "false";
-  out += "}";
-  return out;
-}
-
 }  // namespace vsparse

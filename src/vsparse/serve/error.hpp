@@ -72,10 +72,6 @@ class Error : public std::runtime_error {
   bool retryable() const { return error_code_retryable(code_); }
   bool fallback_eligible() const { return error_code_fallback_eligible(code_); }
 
-  /// {"code":"...","site":"...","retryable":...} — no free text, so the
-  /// serialization is deterministic at any --threads=N.
-  std::string to_json() const;
-
  private:
   ErrorCode code_;
   std::string site_;

@@ -5,18 +5,6 @@
 
 namespace vsparse::serve {
 
-const char* breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half_open";
-  }
-  return "closed";
-}
-
 const char* health_event_kind_name(HealthEvent::Kind kind) {
   switch (kind) {
     case HealthEvent::Kind::kQuarantine:
@@ -175,7 +163,7 @@ std::string health_key(const std::string& op, ServeRung rung) {
     case ServeRung::kCsrFine:
       return spmm ? "spmm_csr_fine" : "sddmm_csr_fine";
     case ServeRung::kWmmaWarp:
-      return spmm ? "spmm_wmma_warp" : "sddmm_wmma_warp";
+      return "sddmm_wmma_warp";
     case ServeRung::kNumRungs:
       break;
   }

@@ -38,8 +38,6 @@ namespace vsparse::serve {
 
 enum class BreakerState : std::uint8_t { kClosed = 0, kOpen, kHalfOpen };
 
-const char* breaker_state_name(BreakerState state);
-
 /// Tuning knobs for every breaker a tracker owns.
 struct HealthConfig {
   /// Sliding-window length in attempts (capped at 64 — the window is a

@@ -22,7 +22,8 @@
 namespace vsparse::serve {
 
 /// The degradation-ladder rungs, in canonical fallback order for SpMM.
-/// SDDMM uses the subset {kOctet, kWmmaWarp, kFpuSubwarp, kCsrFine}.
+/// SDDMM uses the subset {kOctet, kWmmaWarp, kFpuSubwarp, kCsrFine};
+/// kWmmaWarp is SDDMM's alone.
 enum class ServeRung : std::uint8_t {
   kOctet = 0,   ///< TCU 1-D octet tiling — the paper's kernel
   kOctetAbft,   ///< octet + ABFT checksum verify/recompute
@@ -30,7 +31,7 @@ enum class ServeRung : std::uint8_t {
   kDenseGemm,   ///< decode to dense, cublasHgemm stand-in
   kFpuSubwarp,  ///< FPU reference tiling (any V, no TCU)
   kCsrFine,     ///< fine-grained V=1 baseline
-  kWmmaWarp,    ///< classic warp-level WMMA mapping
+  kWmmaWarp,    ///< classic warp-level WMMA mapping (§6.2)
   kNumRungs
 };
 

@@ -121,18 +121,32 @@ ServeRung serve_rung_of(const LadderEntry& entry) {
     case kernels::OperandFormat::kCvs:
       break;
   }
-  // SpmmAlgorithm and SddmmAlgorithm share enumerator values for the
-  // four CVS kernels (registry_test pins this).
-  switch (static_cast<SpmmAlgorithm>(entry.desc->algorithm)) {
-    case SpmmAlgorithm::kOctet:
-      return entry.abft ? ServeRung::kOctetAbft : ServeRung::kOctet;
-    case SpmmAlgorithm::kWmmaWarp:
-      return ServeRung::kWmmaWarp;
-    case SpmmAlgorithm::kFpuSubwarp:
-      return ServeRung::kFpuSubwarp;
-    case SpmmAlgorithm::kCsrFine:
-      return ServeRung::kCsrFine;
-    default:
+  switch (entry.desc->op) {
+    case KernelOp::kSpmm:
+      switch (static_cast<SpmmAlgorithm>(entry.desc->algorithm)) {
+        case SpmmAlgorithm::kOctet:
+          return entry.abft ? ServeRung::kOctetAbft : ServeRung::kOctet;
+        case SpmmAlgorithm::kFpuSubwarp:
+          return ServeRung::kFpuSubwarp;
+        case SpmmAlgorithm::kCsrFine:
+          return ServeRung::kCsrFine;
+        default:
+          break;
+      }
+      break;
+    case KernelOp::kSddmm:
+      switch (static_cast<SddmmAlgorithm>(entry.desc->algorithm)) {
+        case SddmmAlgorithm::kOctet:  // no SDDMM kernel has an ABFT variant
+          return ServeRung::kOctet;
+        case SddmmAlgorithm::kWmmaWarp:
+          return ServeRung::kWmmaWarp;
+        case SddmmAlgorithm::kFpuSubwarp:
+          return ServeRung::kFpuSubwarp;
+        case SddmmAlgorithm::kCsrFine:
+          return ServeRung::kCsrFine;
+        default:
+          break;
+      }
       break;
   }
   VSPARSE_RAISE(ErrorCode::kInternal, "serve.supervisor",

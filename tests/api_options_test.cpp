@@ -1,8 +1,7 @@
 // Options-struct dispatch API: the descriptor entry points produce the
 // same results and counters as calling the concrete kernels directly
-// (dispatch through the registry adds nothing), the host round trips
-// return the KernelRun alongside the result, and the reserved
-// SddmmOptions::abft field is rejected loudly.
+// (dispatch through the registry adds nothing), and the host round
+// trip returns the KernelRun alongside the result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,10 +14,9 @@
 #include "vsparse/gpusim/trace/counters.hpp"
 #include "vsparse/kernels/dispatch.hpp"
 #include "vsparse/kernels/sddmm/sddmm_octet.hpp"
-#include "vsparse/kernels/sddmm/sddmm_fpu.hpp"
+#include "vsparse/kernels/spmm/spmm_fpu.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
 #include "vsparse/kernels/spmm/spmm_octet_abft.hpp"
-#include "vsparse/kernels/spmm/spmm_wmma.hpp"
 
 namespace vsparse::kernels {
 namespace {
@@ -66,11 +64,11 @@ TEST(ApiOptions, SpmmDispatchMatchesDirectKernelCall) {
   SpmmDeviceRun via_options(f);
   const auto new_run =
       spmm(via_options.dev, via_options.da, via_options.db, via_options.dc,
-           {.algorithm = SpmmAlgorithm::kWmmaWarp});
+           {.algorithm = SpmmAlgorithm::kFpuSubwarp});
 
   SpmmDeviceRun direct(f);
   const auto direct_run =
-      spmm_wmma_warp(direct.dev, direct.da, direct.db, direct.dc);
+      spmm_fpu_subwarp(direct.dev, direct.da, direct.db, direct.dc);
 
   EXPECT_EQ(new_run.config.profile.name, direct_run.config.profile.name);
   EXPECT_TRUE(gpusim::counters_equal(new_run.stats, direct_run.stats));
@@ -148,32 +146,6 @@ TEST(ApiOptions, SpmmHostRoundTripMatchesDeviceRun) {
   EXPECT_GT(host.run.stats.ctas_launched, 0u);
 }
 
-TEST(ApiOptions, SddmmHostRoundTripMatchesDeviceRun) {
-  Rng rng(23);
-  DenseMatrix<half_t> a(16, 32);
-  a.fill_random_int(rng);
-  DenseMatrix<half_t> b(32, 64, Layout::kColMajor);
-  b.fill_random_int(rng);
-  Cvs mask = make_cvs_mask(16, 64, 4, 0.7, rng);
-
-  const HostRun<Cvs> host =
-      sddmm_host(a, b, mask, {.algorithm = SddmmAlgorithm::kFpuSubwarp});
-
-  gpusim::Device dev;
-  auto da = to_device(dev, a);
-  auto db = to_device(dev, b);
-  auto dmask = to_device(dev, mask);
-  auto out = dev.alloc<half_t>(mask.values.size());
-  sddmm_fpu_subwarp(dev, da, db, dmask, out);
-  const auto direct_bits = bits_of(out.host());
-
-  ASSERT_EQ(host.result.values.size(), direct_bits.size());
-  for (std::size_t i = 0; i < direct_bits.size(); ++i) {
-    ASSERT_EQ(host.result.values[i].bits(), direct_bits[i]) << i;
-  }
-  EXPECT_GT(host.run.stats.total_instructions(), 0u);
-}
-
 TEST(ApiOptions, DefaultOptionsAutoSelect) {
   const SpmmFixture octets(4);
   SpmmDeviceRun r4(octets);
@@ -213,24 +185,6 @@ TEST(ApiOptions, SimOptionsThreadThroughTheDescriptor) {
   gpusim::KernelStats merged{};
   for (const auto& s : per_sm) merged += s;
   EXPECT_TRUE(merged.sm_local_equal(run.stats));
-}
-
-TEST(ApiOptions, SddmmAbftIsReservedAndRejected) {
-  Rng rng(24);
-  DenseMatrix<half_t> a(16, 32);
-  a.fill_random_int(rng);
-  DenseMatrix<half_t> b(32, 64, Layout::kColMajor);
-  b.fill_random_int(rng);
-  Cvs mask = make_cvs_mask(16, 64, 4, 0.7, rng);
-  gpusim::Device dev(test_config());
-  auto da = to_device(dev, a);
-  auto db = to_device(dev, b);
-  auto dmask = to_device(dev, mask);
-  auto out =
-      dev.alloc<half_t>(mask.col_idx.size() * static_cast<std::size_t>(mask.v));
-  EXPECT_THROW(
-      sddmm(dev, da, db, dmask, out, {.abft = AbftOptions{}}),
-      vsparse::Error);  // kBadDispatch
 }
 
 }  // namespace

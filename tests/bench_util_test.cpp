@@ -9,6 +9,8 @@
 #include "vsparse/bench/suite.hpp"
 #include "vsparse/bench/summary.hpp"
 #include "vsparse/common/json.hpp"
+#include "vsparse/gpusim/arch.hpp"
+#include "vsparse/kernels/dense/gemm.hpp"
 
 namespace vsparse::bench {
 namespace {
@@ -80,6 +82,43 @@ TEST(DenseBaselineCache, MemoizesAndIsConsistent) {
   EXPECT_GT(base.hgemm_cycles(512, 128, 128), a);
   // Single precision costs more than half on the same problem.
   EXPECT_GT(base.sgemm_cycles(256, 128, 128), a);
+}
+
+/// Model cycles, priced at `hw`, of `gemm` on (MxK)·(KxN) operands of
+/// type T on a fresh `hw` device.
+template <class T, class Gemm>
+double gemm_cycles_on(const gpusim::DeviceConfig& hw, int m, int k, int n,
+                      Gemm gemm) {
+  gpusim::DeviceConfig cfg = hw;
+  cfg.dram_capacity = std::size_t{1} << 30;
+  gpusim::Device dev(cfg);
+  DenseDevice<T> a{dev.alloc<T>(static_cast<std::size_t>(m) * k), m, k, k,
+                   Layout::kRowMajor};
+  DenseDevice<T> b{dev.alloc<T>(static_cast<std::size_t>(k) * n), k, n, n,
+                   Layout::kRowMajor};
+  DenseDevice<T> c{dev.alloc<T>(static_cast<std::size_t>(m) * n), m, n, n,
+                   Layout::kRowMajor};
+  return gemm(dev, a, b, c).cycles(hw);
+}
+
+// Under --arch the dense baseline runs on that architecture's device
+// (its SM count and L2), not just at its prices: DenseBaseline on the
+// turing-t4 preset equals the cuBLAS stand-ins run on a T4 device and
+// priced at T4, for a Fig. 17 small-scale GEMM.
+TEST(DenseBaselineCache, RunsOnTheArchitectureItPricesAt) {
+  const gpusim::DeviceConfig t4 =
+      gpusim::find_arch_preset("turing-t4")->make();
+  const Shape shape = suite_shapes(Scale::kSmall).back();
+  const int m = shape.m, k = shape.k, n = 256;
+  DenseBaseline base(t4);
+  EXPECT_EQ(base.hgemm_cycles(m, k, n),
+            gemm_cycles_on<half_t>(t4, m, k, n, [](auto&... args) {
+              return kernels::hgemm_tcu(args...);
+            }));
+  EXPECT_EQ(base.sgemm_cycles(m, k, n),
+            gemm_cycles_on<float>(t4, m, k, n, [](auto&... args) {
+              return kernels::sgemm_fpu(args...);
+            }));
 }
 
 }  // namespace

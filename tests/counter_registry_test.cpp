@@ -1,7 +1,7 @@
 // Counter-registry acceptance tests: every KernelStats counter is in
 // the registry exactly once (distinct storage, unique stable name),
-// and merge, diff, equality, JSON export, and the pretty-printer are
-// all derived from the same table — so the historical text dump is
+// and merge, equality, JSON export, and the pretty-printer are all
+// derived from the same table — so the historical text dump is
 // reproduced byte for byte and a counter can never silently miss an
 // exporter.
 #include <gtest/gtest.h>
@@ -48,12 +48,10 @@ TEST(CounterRegistry, NamesAreUniqueStableKeys) {
   std::set<std::string> names;
   for (const CounterDef& def : counter_registry()) {
     EXPECT_TRUE(names.insert(def.name).second) << "duplicate " << def.name;
-    EXPECT_EQ(find_counter(def.name), &def);
     EXPECT_NE(def.desc[0], '\0') << def.name << " has no description";
     EXPECT_NE(def.unit[0], '\0') << def.name << " has no unit";
   }
   EXPECT_EQ(names.size(), static_cast<std::size_t>(kNumCounters));
-  EXPECT_EQ(find_counter("no_such_counter"), nullptr);
 }
 
 TEST(CounterRegistry, NonSmLocalSetIsExactlyTheL2DramSplit) {
@@ -92,10 +90,6 @@ TEST(CounterRegistry, AccumulateEqualityAndDiffAreRegistryDriven) {
 
   EXPECT_TRUE(counters_equal(a, a));
   EXPECT_FALSE(counters_equal(a, b));
-
-  // diff inverts accumulate: (a + b) - a == b, over every counter.
-  const KernelStats back = counters_diff(sum, a);
-  EXPECT_TRUE(counters_equal(back, b));
 }
 
 TEST(CounterRegistry, SmLocalEqualityIgnoresOnlyTheL2DramSplit) {

@@ -47,8 +47,7 @@ TEST(Dispatch, ForcedAlgorithmsAllProduceTheSameResult) {
   b.fill_random_int(rng);
   DenseMatrix<half_t> ref = spmm_reference(a, b);
   using kernels::SpmmAlgorithm;
-  for (auto algo : {SpmmAlgorithm::kOctet, SpmmAlgorithm::kWmmaWarp,
-                    SpmmAlgorithm::kFpuSubwarp}) {
+  for (auto algo : {SpmmAlgorithm::kOctet, SpmmAlgorithm::kFpuSubwarp}) {
     DenseMatrix<half_t> got =
         kernels::spmm_host(a, b, {.algorithm = algo}).result;
     for (int r = 0; r < 32; ++r) {
@@ -67,13 +66,18 @@ TEST(Dispatch, SddmmHostRoundTrip) {
   DenseMatrix<half_t> b(32, 64, Layout::kColMajor);
   b.fill_random_int(rng);
   Cvs mask = make_cvs_mask(16, 64, 4, 0.7, rng);
-  auto host_run = kernels::sddmm_host(a, b, mask);
-  const Cvs& got = host_run.result;
-  EXPECT_GT(host_run.run.stats.total_instructions(), 0u);
+  gpusim::Device dev(test_config());
+  auto da = to_device(dev, a);
+  auto db = to_device(dev, b);
+  auto dmask = to_device(dev, mask);
+  auto out = dev.alloc<half_t>(mask.values.size());
+  const kernels::KernelRun run = kernels::sddmm(dev, da, db, dmask, out);
+  EXPECT_GT(run.stats.total_instructions(), 0u);
+  const auto got = out.host();
   Cvs ref = sddmm_reference(a, b, mask);
-  ASSERT_EQ(got.values.size(), ref.values.size());
+  ASSERT_EQ(got.size(), ref.values.size());
   for (std::size_t i = 0; i < ref.values.size(); ++i) {
-    ASSERT_EQ(got.values[i].bits(), ref.values[i].bits()) << i;
+    ASSERT_EQ(got[i].bits(), ref.values[i].bits()) << i;
   }
 }
 

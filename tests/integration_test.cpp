@@ -13,7 +13,6 @@
 #include "vsparse/kernels/softmax/sparse_softmax.hpp"
 #include "vsparse/kernels/spmm/spmm_fpu.hpp"
 #include "vsparse/kernels/spmm/spmm_octet.hpp"
-#include "vsparse/kernels/spmm/spmm_wmma.hpp"
 
 namespace vsparse::kernels {
 namespace {
@@ -26,8 +25,8 @@ gpusim::DeviceConfig test_config() {
 }
 
 TEST(Integration, AllSpmmKernelsAgreeBitExactly) {
-  // Three independent implementations of the same contract must agree
-  // exactly on fp16-exact inputs (fp32 accumulation everywhere).
+  // The tensor-core and FPU implementations of the same contract must
+  // agree exactly on fp16-exact inputs (fp32 accumulation everywhere).
   Rng rng(31);
   Cvs a = make_cvs(128, 192, 4, 0.8, rng);
   for (half_t& h : a.values) {
@@ -42,16 +41,12 @@ TEST(Integration, AllSpmmKernelsAgreeBitExactly) {
   DenseMatrix<half_t> ch(128, 128);
   auto c1 = to_device(dev, ch);
   auto c2 = to_device(dev, ch);
-  auto c3 = to_device(dev, ch);
   spmm_octet(dev, da, db, c1);
-  spmm_wmma_warp(dev, da, db, c2);
-  spmm_fpu_subwarp(dev, da, db, c3);
+  spmm_fpu_subwarp(dev, da, db, c2);
   auto h1 = c1.buf.host();
   auto h2 = c2.buf.host();
-  auto h3 = c3.buf.host();
   for (std::size_t i = 0; i < h1.size(); ++i) {
     ASSERT_EQ(h1[i].bits(), h2[i].bits()) << i;
-    ASSERT_EQ(h1[i].bits(), h3[i].bits()) << i;
   }
 }
 

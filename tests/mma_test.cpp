@@ -101,7 +101,7 @@ TEST_F(MmaTest, MatchesReferenceGemmPerOctet) {
     LaunchConfig cfg;
     launch(dev_, cfg, [&](Cta& cta) {
       Warp w = cta.warp(0);
-      mma_m8n8k4(w, a, b, c);
+      w.mma_m8n8k4(a, b, c);
     });
     for (int o = 0; o < 4; ++o) {
       for (int i = 0; i < 8; ++i) {
@@ -127,7 +127,7 @@ TEST_F(MmaTest, AccumulatesOntoExistingC) {
   LaunchConfig cfg;
   launch(dev_, cfg, [&](Cta& cta) {
     Warp w = cta.warp(0);
-    mma_m8n8k4(w, a, b, c);
+    w.mma_m8n8k4(a, b, c);
   });
   EXPECT_EQ(c_at(c, 0, 0, 0), 100.0f + ref[0][0][0]);
   EXPECT_EQ(c_at(c, 3, 7, 7), 100.0f + ref[3][7][7]);
@@ -139,8 +139,8 @@ TEST_F(MmaTest, CountsFourHmmaStepsPerInstruction) {
   LaunchConfig cfg;
   KernelStats s = launch(dev_, cfg, [&](Cta& cta) {
     Warp w = cta.warp(0);
-    mma_m8n8k4(w, a, b, c);
-    mma_m8n8k4(w, a, b, c);
+    w.mma_m8n8k4(a, b, c);
+    w.mma_m8n8k4(a, b, c);
   });
   EXPECT_EQ(s.op(Op::kHmma), 8u);
 }
@@ -157,7 +157,7 @@ TEST_F(MmaTest, StepMaskComputesOnlySelectedQuadrants) {
   LaunchConfig cfg;
   KernelStats s = launch(dev_, cfg, [&](Cta& cta) {
     Warp w = cta.warp(0);
-    mma_m8n8k4(w, a, b, c, MmaFlags{.switch_groups = false, .step_mask = 0x3});
+    w.mma_m8n8k4(a, b, c, MmaFlags{.switch_groups = false, .step_mask = 0x3});
   });
   EXPECT_EQ(s.op(Op::kHmma), 2u);  // only STEP 0&1 issued
   for (int o = 0; o < 4; ++o) {
@@ -185,7 +185,7 @@ TEST_F(MmaTest, SwitchFlagSwapsSourceGroups) {
   LaunchConfig cfg;
   launch(dev_, cfg, [&](Cta& cta) {
     Warp w = cta.warp(0);
-    mma_m8n8k4(w, a, b, c, MmaFlags{.switch_groups = true, .step_mask = 0xF});
+    w.mma_m8n8k4(a, b, c, MmaFlags{.switch_groups = true, .step_mask = 0xF});
   });
   for (int o = 0; o < 4; ++o) {
     // Build the expected block-swapped product: rows swapped between
@@ -221,9 +221,9 @@ TEST_F(MmaTest, SwitchEqualsPreSwappedOperands) {
   LaunchConfig cfg;
   launch(dev_, cfg, [&](Cta& cta) {
     Warp w = cta.warp(0);
-    mma_m8n8k4(w, a, b, c_plain);
-    mma_m8n8k4(w, a_swapped, b_swapped, c_double_switch,
-               MmaFlags{.switch_groups = true, .step_mask = 0xF});
+    w.mma_m8n8k4(a, b, c_plain);
+    w.mma_m8n8k4(a_swapped, b_swapped, c_double_switch,
+                 MmaFlags{.switch_groups = true, .step_mask = 0xF});
   });
   for (int lane = 0; lane < 32; ++lane) {
     for (int j = 0; j < 8; ++j) {
@@ -256,10 +256,12 @@ TEST_F(MmaTest, WmmaMatchesReference) {
       }
     }
   }
+  float* crow[8];
+  for (int i = 0; i < 8; ++i) crow[i] = c[i];
   LaunchConfig cfg;
   KernelStats s = launch(dev_, cfg, [&](Cta& cta) {
     Warp w = cta.warp(0);
-    wmma_m8n32k16(w, a, b, c);
+    w.wmma_m8n32k16(a, b, crow, 8, 16);
   });
   EXPECT_EQ(s.op(Op::kHmma), 16u);
   for (int i = 0; i < 8; ++i) {
@@ -412,7 +414,7 @@ TEST_F(MmaTest, Fp32AccumulationOfFp16Products) {
   LaunchConfig cfg;
   launch(dev_, cfg, [&](Cta& cta) {
     Warp w = cta.warp(0);
-    mma_m8n8k4(w, a, b, c);
+    w.mma_m8n8k4(a, b, c);
   });
   EXPECT_EQ(c[0][0], 8192.0f);
 }

@@ -63,21 +63,6 @@ TEST(Registry, AutoIsNotARegisteredAlgorithm) {
   EXPECT_THROW(kernel_for(SddmmAlgorithm::kAuto), vsparse::Error);
 }
 
-// serve_rung_of (serve/supervisor.cpp) switches on the raw algorithm
-// value for both ops at once; this pin keeps the two enums aligned.
-TEST(Registry, SpmmAndSddmmEnumeratorValuesAlign) {
-  EXPECT_EQ(static_cast<int>(SpmmAlgorithm::kAuto),
-            static_cast<int>(SddmmAlgorithm::kAuto));
-  EXPECT_EQ(static_cast<int>(SpmmAlgorithm::kOctet),
-            static_cast<int>(SddmmAlgorithm::kOctet));
-  EXPECT_EQ(static_cast<int>(SpmmAlgorithm::kWmmaWarp),
-            static_cast<int>(SddmmAlgorithm::kWmmaWarp));
-  EXPECT_EQ(static_cast<int>(SpmmAlgorithm::kFpuSubwarp),
-            static_cast<int>(SddmmAlgorithm::kFpuSubwarp));
-  EXPECT_EQ(static_cast<int>(SpmmAlgorithm::kCsrFine),
-            static_cast<int>(SddmmAlgorithm::kCsrFine));
-}
-
 TEST(Registry, NamesAreUniqueAndRoundTrip) {
   std::set<std::string> seen;
   for (const KernelDesc& desc : kernel_registry()) {
@@ -166,10 +151,10 @@ TEST(Registry, FallbackLadderReproducesHardCodedOrder) {
 
 TEST(ArchPresets, TableRoundTripsAndRejectsUnknownNames) {
   for (const gpusim::ArchPreset& preset : gpusim::arch_presets()) {
-    const gpusim::DeviceConfig cfg = gpusim::DeviceConfig::preset(preset.name);
-    EXPECT_STREQ(cfg.arch, preset.name);
+    const gpusim::ArchPreset* found = gpusim::find_arch_preset(preset.name);
+    ASSERT_EQ(found, &preset);
+    EXPECT_STREQ(found->make().arch, preset.name);
   }
-  EXPECT_THROW(gpusim::DeviceConfig::preset("kepler-k80"), vsparse::Error);
   EXPECT_EQ(gpusim::find_arch_preset("kepler-k80"), nullptr);
 }
 
@@ -194,7 +179,7 @@ TEST(ArchPresets, HmmaSwitchPresetChangesSddmmVariant) {
   const Cvs mask = make_cvs_mask(32, 64, 4, 0.6, rng);
 
   const auto profile_on = [&](const char* arch) {
-    gpusim::DeviceConfig cfg = gpusim::DeviceConfig::preset(arch);
+    gpusim::DeviceConfig cfg = gpusim::find_arch_preset(arch)->make();
     cfg.dram_capacity = 128 << 20;
     gpusim::Device dev(cfg);
     auto da = to_device(dev, a);

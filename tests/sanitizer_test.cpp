@@ -523,7 +523,6 @@ TEST(SanitizerSweep, ShippedKernelsCleanOnSuiteShapes) {
                          kernels::SpmmAlgorithm::kCsrFine}
                    : std::vector<kernels::SpmmAlgorithm>{
                          kernels::SpmmAlgorithm::kOctet,
-                         kernels::SpmmAlgorithm::kWmmaWarp,
                          kernels::SpmmAlgorithm::kFpuSubwarp};
         for (const auto algo : algos) {
           options.algorithm = algo;
@@ -561,7 +560,12 @@ TEST(SanitizerSweep, ShippedSddmmCleanOnSuiteShapes) {
       kernels::SddmmOptions options;
       options.sim.threads = 2;
       options.sim.sanitize.sink = &sink;
-      kernels::sddmm_host(a, b, mask, options);
+      Device dev;
+      auto da = to_device(dev, a);
+      auto db = to_device(dev, b);
+      auto dmask = to_device(dev, mask);
+      auto out = dev.alloc<half_t>(mask.values.size());
+      kernels::sddmm(dev, da, db, dmask, out, options);
       ++cases;
     }
   }

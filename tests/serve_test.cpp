@@ -103,10 +103,6 @@ TEST(ServeTaxonomy, CodePropertiesMatchTheDesignTable) {
     EXPECT_EQ(error_code_retryable(r.code), r.retryable) << r.name;
     EXPECT_EQ(error_code_fallback_eligible(r.code), r.fallback) << r.name;
   }
-  const Error e(ErrorCode::kEccUncorrectable, "gpusim.ecc", "boom");
-  EXPECT_EQ(e.to_json(),
-            "{\"code\":\"ecc_uncorrectable\",\"site\":\"gpusim.ecc\","
-            "\"retryable\":true}");
 }
 
 // ---- fault-free fast path ---------------------------------------------

@@ -1,6 +1,6 @@
 // Correctness + counter-signature tests for the SpMM baseline kernels:
-// FPU 1-D subwarp tiling (§5.1), classic WMMA warp tiling (§5.2),
-// Blocked-ELL (cuSPARSE stand-in, §3.2) and fine-grained CSR.
+// FPU 1-D subwarp tiling (§5.1), Blocked-ELL (cuSPARSE stand-in, §3.2)
+// and fine-grained CSR.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,8 +13,6 @@
 #include "vsparse/kernels/spmm/spmm_blocked_ell.hpp"
 #include "vsparse/kernels/spmm/spmm_csr_fine.hpp"
 #include "vsparse/kernels/spmm/spmm_fpu.hpp"
-#include "vsparse/kernels/spmm/spmm_octet.hpp"
-#include "vsparse/kernels/spmm/spmm_wmma.hpp"
 
 namespace vsparse::kernels {
 namespace {
@@ -246,48 +244,6 @@ TEST(SpmmFpu, SassSizeCalibration) {
   KernelRun r8 = spmm_fpu_subwarp(dev, da8, db, dc);
   EXPECT_NEAR(r4.config.profile.static_instrs, 3776, 500);
   EXPECT_NEAR(r8.config.profile.static_instrs, 6968, 500);
-}
-
-class SpmmWmmaSweep
-    : public ::testing::TestWithParam<std::tuple<int, double>> {};
-
-TEST_P(SpmmWmmaSweep, MatchesReference) {
-  const auto [v, sparsity] = GetParam();
-  Cvs a = int_cvs(64, 96, v, sparsity, 600 + v);
-  Rng rng(4);
-  DenseMatrix<half_t> b(96, 128);
-  b.fill_random_int(rng);
-  gpusim::Device dev(test_config());
-  auto da = to_device(dev, a);
-  auto db = to_device(dev, b);
-  DenseMatrix<half_t> ch(64, 128);
-  auto dc = to_device(dev, ch);
-  spmm_wmma_warp(dev, da, db, dc);
-  expect_half_equal(from_device(dc), spmm_reference(a, b));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SpmmWmmaSweep,
-    ::testing::Combine(::testing::Values(2, 4, 8),
-                       ::testing::Values(0.0, 0.5, 0.9, 0.98)));
-
-TEST(SpmmWmma, NarrowerLoadsThanOctet) {
-  // The §5.2 analysis: classic mapping caps B loads at LDG.64 while the
-  // octet mapping reaches LDG.128.
-  Cvs a = int_cvs(64, 128, 4, 0.7, 12);
-  Rng rng(5);
-  DenseMatrix<half_t> b(128, 64);
-  b.fill_random_int(rng);
-  gpusim::Device dev(test_config());
-  auto da = to_device(dev, a);
-  auto db = to_device(dev, b);
-  DenseMatrix<half_t> ch(64, 64);
-  auto dc = to_device(dev, ch);
-  KernelRun wmma = spmm_wmma_warp(dev, da, db, dc);
-  KernelRun octet = spmm_octet(dev, da, db, dc);
-  EXPECT_GT(wmma.stats.ldg64, 0u);
-  // Octet B loads are LDG.128 only.
-  EXPECT_GT(octet.stats.ldg128, wmma.stats.ldg128);
 }
 
 class BlockedEllSweep
